@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ONE, ZERO, FunctionDistribution, Rational, image_size
+from .core import ZERO, FunctionDistribution, Rational, image_size, probability_vector
 from .errors import SizeMismatch
 
 
@@ -22,14 +22,9 @@ class BetaSpectrum:
     weights: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
-            raise ValueError("a spectrum needs at least one bucket")
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"negative spectrum weight {w}")
-        if sum(self.weights, start=ZERO) != ONE:
-            raise ValueError("spectrum weights must sum to exactly 1")
+        object.__setattr__(
+            self, "weights", probability_vector(self.weights, "spectrum weight")
+        )
 
     def weight(self, k: int) -> Rational:
         """Mass on image size k; zero beyond the stored range."""

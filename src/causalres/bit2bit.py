@@ -60,11 +60,15 @@ class BitParams:
         """Invert the parametrization back into four exact weights."""
         a = self.alpha if self.alpha is not None else ZERO
         g = self.gamma if self.gamma is not None else ZERO
-        return _from_weights(
-            self.beta * (ONE - a) * HALF,
-            self.beta * (ONE + a) * HALF,
-            (ONE - self.beta) * (ONE - g) * HALF,
-            (ONE - self.beta) * (ONE + g) * HALF,
+        return FunctionDistribution(
+            2,
+            2,
+            {
+                IDENT: self.beta * (ONE - a) * HALF,
+                FLIP: self.beta * (ONE + a) * HALF,
+                RESET0: (ONE - self.beta) * (ONE - g) * HALF,
+                RESET1: (ONE - self.beta) * (ONE + g) * HALF,
+            },
         )
 
 
@@ -96,14 +100,6 @@ def _require_bits(P: FunctionDistribution) -> None:
         raise SizeMismatch(
             f"bit-to-bit operation on a {P.domain_size}->{P.codomain_size} resource"
         )
-
-
-def _from_weights(
-    w_ident: Rational, w_flip: Rational, w_reset0: Rational, w_reset1: Rational
-) -> FunctionDistribution:
-    return FunctionDistribution(
-        2, 2, {IDENT: w_ident, FLIP: w_flip, RESET0: w_reset0, RESET1: w_reset1}
-    )
 
 
 def bit_resource(
@@ -188,32 +184,22 @@ def table1_vertices(P: FunctionDistribution) -> list[FunctionDistribution]:
     params = parametrize(P)
     if params.beta == ZERO:
         return [FunctionDistribution.point(RESET0), FunctionDistribution.point(RESET1)]
-    alpha = params.alpha
-    gamma = params.gamma if params.gamma is not None else ZERO
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
     assert alpha is not None
-    beta = params.beta
+    flipped_gamma = None if gamma is None else -gamma
     rows = [
         P,
         FunctionDistribution.point(RESET0),
         FunctionDistribution.point(RESET1),
-        _row(-alpha, beta, gamma),
-        _row(-alpha, beta, -gamma),
-        _row(alpha, beta, -gamma),
+        bit_resource(-alpha, beta, gamma),
+        bit_resource(-alpha, beta, flipped_gamma),
+        bit_resource(alpha, beta, flipped_gamma),
     ]
     unique: list[FunctionDistribution] = []
     for row in rows:
         if row not in unique:
             unique.append(row)
     return unique
-
-
-def _row(alpha: Rational, beta: Rational, gamma: Rational) -> FunctionDistribution:
-    return _from_weights(
-        beta * (ONE - alpha) * HALF,
-        beta * (ONE + alpha) * HALF,
-        (ONE - beta) * (ONE - gamma) * HALF,
-        (ONE - beta) * (ONE + gamma) * HALF,
-    )
 
 
 # Corners of a cube make a regular tetrahedron with rational coordinates.

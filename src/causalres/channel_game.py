@@ -12,16 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bit2bit import FLIP, IDENT, RESET0, RESET1
+from .bit2bit import FLIP, IDENT, RESET0, RESET1, _require_bits
 from .core import (
-    ONE,
     ZERO,
     FunctionDistribution,
     Rational,
     StochasticMap,
     canonical_preimage,
-    exact,
     image_size,
+    probability_vector,
     to_stochastic,
 )
 from .errors import SizeMismatch, ZeroMarginal
@@ -34,15 +33,9 @@ class Prior:
     weights: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(exact(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if not weights:
-            raise ValueError("a prior needs at least one input")
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"negative prior weight {w}")
-        if sum(weights, start=ZERO) != ONE:
-            raise ValueError("prior weights must sum to exactly 1")
+        object.__setattr__(
+            self, "weights", probability_vector(self.weights, "prior weight")
+        )
 
     @classmethod
     def uniform(cls, size: int) -> "Prior":
@@ -85,8 +78,7 @@ def posterior_causal_connection(
 
     Only the uniform prior is supported; an explicit one must equal it.
     """
-    if (P.domain_size, P.codomain_size) != (2, 2):
-        raise SizeMismatch("posteriors are defined for bit-to-bit resources only")
+    _require_bits(P)
     if y not in (0, 1):
         raise ValueError(f"output {y!r} is not a bit")
     prior = _resolve_prior(P, prior)
@@ -112,8 +104,7 @@ def max_postselected_connection(P: FunctionDistribution) -> Rational:
     Uses the uniform prior. Outputs that cannot occur are skipped rather
     than treated as vacuous certainty.
     """
-    if (P.domain_size, P.codomain_size) != (2, 2):
-        raise SizeMismatch("posteriors are defined for bit-to-bit resources only")
+    _require_bits(P)
     best = ZERO
     for y in (0, 1):
         try:
@@ -141,8 +132,7 @@ def ace_dist(P: FunctionDistribution) -> Rational:
     Equals the weight on the identity minus the weight on the flip, and
     agrees with `ace` of the induced conditional.
     """
-    if (P.domain_size, P.codomain_size) != (2, 2):
-        raise SizeMismatch("average causal effect is defined for bit resources only")
+    _require_bits(P)
     return P.weight(IDENT) - P.weight(FLIP)
 
 

@@ -35,7 +35,7 @@ from .channel_game import (
     min_beta_over_preimage,
     posterior_causal_connection,
 )
-from .core import FiniteFunction, FunctionDistribution, Rational, to_stochastic
+from .core import FiniteFunction, FunctionDistribution, to_stochastic
 from .errors import (
     DuplicateName,
     MalformedWeight,
@@ -56,11 +56,6 @@ from .rtknowcaus import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
-
-
-def frac(value: Rational) -> str:
-    """Lowest-terms fraction string; integers drop the denominator."""
-    return str(value)
 
 
 def parse_resource_file(text: str) -> list[tuple[str, FunctionDistribution]]:
@@ -155,18 +150,18 @@ def serialize_resources(resources: Sequence[tuple[str, FunctionDistribution]]) -
         )
         for f, w in dist.items():
             lines.append(
-                json.dumps({"map": list(f.outputs), "prob": frac(w)}, sort_keys=True)
+                json.dumps({"map": list(f.outputs), "prob": str(w)}, sort_keys=True)
             )
     return "\n".join(lines) + "\n"
 
 
 def _support_json(dist: FunctionDistribution) -> list[dict]:
-    return [{"map": list(f.outputs), "prob": frac(w)} for f, w in dist.items()]
+    return [{"map": list(f.outputs), "prob": str(w)} for f, w in dist.items()]
 
 
 def _mixture_json(mixture: CombMixture) -> list[dict]:
     return [
-        {"pre": list(c.pre.outputs), "post": list(c.post.outputs), "weight": frac(w)}
+        {"pre": list(c.pre.outputs), "post": list(c.post.outputs), "weight": str(w)}
         for c, w in mixture.items()
     ]
 
@@ -194,16 +189,16 @@ def _cmd_monotones(args: argparse.Namespace) -> int:
     for name, dist in _resolve(args.resources):
         report: dict = {
             "name": name,
-            "beta_spectrum": [frac(w) for w in beta_vector(dist).weights],
-            "cumulative": [frac(m) for m in cumulative_monotones(dist)],
+            "beta_spectrum": [str(w) for w in beta_vector(dist).weights],
+            "cumulative": [str(m) for m in cumulative_monotones(dist)],
         }
         if (dist.domain_size, dist.codomain_size) == (2, 2):
             triple = monotone_triple(dist)
-            report["m_beta"] = frac(triple.m_beta)
+            report["m_beta"] = str(triple.m_beta)
             report["m_abs_alpha"] = (
-                None if triple.m_abs_alpha is None else frac(triple.m_abs_alpha)
+                None if triple.m_abs_alpha is None else str(triple.m_abs_alpha)
             )
-            report["m_gamma_beta"] = frac(triple.m_gamma_beta)
+            report["m_gamma_beta"] = str(triple.m_gamma_beta)
         _emit(report)
     return EXIT_OK
 
@@ -291,7 +286,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
         prior = _parse_prior(args.prior, dist.domain_size)
         report: dict = {
             "name": name,
-            "guessing_probability": frac(guessing_probability(dist, prior)),
+            "guessing_probability": str(guessing_probability(dist, prior)),
         }
         if (dist.domain_size, dist.codomain_size) == (2, 2):
             # Posteriors are uniform-prior quantities; --prior shifts only
@@ -299,11 +294,11 @@ def _cmd_game(args: argparse.Namespace) -> int:
             posteriors = {}
             for y in (0, 1):
                 try:
-                    posteriors[str(y)] = frac(posterior_causal_connection(dist, y))
+                    posteriors[str(y)] = str(posterior_causal_connection(dist, y))
                 except ZeroMarginal:
                     posteriors[str(y)] = None
             report["posterior_connection"] = posteriors
-            report["max_postselected"] = frac(max_postselected_connection(dist))
+            report["max_postselected"] = str(max_postselected_connection(dist))
         _emit(report)
     return EXIT_OK
 
@@ -315,9 +310,9 @@ def _cmd_ace(args: argparse.Namespace) -> int:
         _emit(
             {
                 "name": name,
-                "ace": frac(ace(channel)),
-                "ace_dist": frac(ace_dist(dist)),
-                "min_beta": frac(bound),
+                "ace": str(ace(channel)),
+                "ace_dist": str(ace_dist(dist)),
+                "min_beta": str(bound),
                 "min_beta_witness": _support_json(witness),
             }
         )

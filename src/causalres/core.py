@@ -1,11 +1,11 @@
 """Exact primitives shared by both resource theories.
 
 A function between finite index sets is stored as its output table, a
-resource is an exact probability distribution over such functions, and the
-bridge to conditional distributions is the pair `to_stochastic` /
-`canonical_preimage`. Every weight is a `fractions.Fraction`; floats are
-rejected at construction because a verdict that sits on a polytope facet
-cannot survive rounding.
+resource is an exact probability distribution over such functions, a free
+operation is built from deterministic (pre, post) pairs, and the bridge to
+conditional distributions is the pair `to_stochastic` / `canonical_preimage`.
+Every weight is a `fractions.Fraction`; floats are rejected at construction
+because a verdict that sits on a polytope facet cannot survive rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import SizeMismatch
 
@@ -96,81 +96,122 @@ def all_functions(domain_size: int, codomain_size: int) -> Iterator[FiniteFuncti
         yield FiniteFunction(domain_size, codomain_size, outputs)
 
 
-SupportLike = Union[
-    Mapping[FiniteFunction, WeightLike],
-    Iterable[tuple[FiniteFunction, WeightLike]],
-]
+def probability_vector(values: Iterable[WeightLike], what: str) -> tuple[Rational, ...]:
+    """Coerce through `exact`; entries must be nonnegative and sum to exactly 1."""
+    vector = tuple(exact(v) for v in values)
+    for v in vector:
+        if v < 0:
+            raise ValueError(f"negative {what} {v}")
+    if sum(vector, start=ZERO) != ONE:
+        raise ValueError(f"{what}s must sum to exactly 1")
+    return vector
 
 
-class FunctionDistribution:
-    """Exact probability distribution over functions of one fixed signature.
+@dataclass(frozen=True)
+class ExtremalComb:
+    """A deterministic (pre, post) pair: post after the resource after pre.
 
-    Zero weights are dropped at construction and the remaining weights must
-    sum to exactly one; there is no renormalization of approximate input.
-    Instances are immutable, hashable and compare by value.
+    In the probabilistic theory it is an extreme point of the free polytope;
+    in the deterministic theory it witnesses one conversion.
     """
 
-    __slots__ = ("domain_size", "codomain_size", "_support", "_items")
+    pre: FiniteFunction
+    post: FiniteFunction
 
-    def __init__(self, domain_size: int, codomain_size: int, support: SupportLike) -> None:
+
+SupportLike = Union[Mapping[Hashable, WeightLike], Iterable[tuple[Hashable, WeightLike]]]
+
+
+class ExactDistribution:
+    """Exact probability distribution over hashable outcomes.
+
+    Weights go through `exact`, repeated outcomes add up, zero weights are
+    dropped and the rest must sum to exactly one; there is no
+    renormalization of approximate input. Instances are immutable, hashable
+    and compare by value, only ever with instances of their own type.
+    Subclasses say which outcomes they admit (`_check_outcomes`) and how
+    `items()` is ordered (`_sort_key`).
+    """
+
+    __slots__ = ("_support", "_items")
+
+    def __init__(self, support: SupportLike) -> None:
         pairs = support.items() if isinstance(support, Mapping) else support
-        acc: dict[FiniteFunction, Rational] = {}
-        for f, raw in pairs:
-            if not isinstance(f, FiniteFunction):
-                raise TypeError(f"support keys must be functions, got {f!r}")
-            if f.domain_size != domain_size or f.codomain_size != codomain_size:
-                raise SizeMismatch(
-                    f"supported function {f.outputs} has signature "
-                    f"{f.domain_size}->{f.codomain_size}, expected "
-                    f"{domain_size}->{codomain_size}"
-                )
+        acc: dict = {}
+        for outcome, raw in pairs:
             w = exact(raw)
             if w < 0:
-                raise ValueError(f"negative weight {w} on {f.outputs}")
-            if w > 0:
-                acc[f] = acc.get(f, ZERO) + w
+                raise ValueError(f"negative weight {w} on {outcome!r}")
+            acc[outcome] = acc.get(outcome, ZERO) + w
+        self._check_outcomes(acc)
         if sum(acc.values(), start=ZERO) != ONE:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "domain_size", domain_size)
-        object.__setattr__(self, "codomain_size", codomain_size)
         object.__setattr__(self, "_support", acc)
         object.__setattr__(
-            self, "_items", tuple(sorted(acc.items(), key=lambda kv: kv[0].outputs))
+            self,
+            "_items",
+            tuple(sorted(((k, w) for k, w in acc.items() if w), key=self._sort_key)),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FunctionDistribution is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def support(self) -> dict:
+        return dict(self._items)
+
+    def items(self) -> tuple[tuple, ...]:
+        """Support pairs in the subclass's order."""
+        return self._items
+
+    def weight(self, outcome: Hashable) -> Rational:
+        return self._support.get(outcome, ZERO)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+
+class FunctionDistribution(ExactDistribution):
+    """Exact probability distribution over functions of one fixed signature.
+
+    `items()` is sorted by output table. Every function carries the
+    signature, so equal items mean equal distributions.
+    """
+
+    __slots__ = ("domain_size", "codomain_size")
+
+    def __init__(self, domain_size: int, codomain_size: int, support: SupportLike) -> None:
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "codomain_size", codomain_size)
+        super().__init__(support)
+
+    def _check_outcomes(self, outcomes: Iterable) -> None:
+        d, c = self.domain_size, self.codomain_size
+        for f in outcomes:
+            if not isinstance(f, FiniteFunction):
+                raise TypeError(f"support keys must be functions, got {f!r}")
+            if f.domain_size != d or f.codomain_size != c:
+                raise SizeMismatch(
+                    f"supported function {f.outputs} has signature "
+                    f"{f.domain_size}->{f.codomain_size}, expected {d}->{c}"
+                )
+
+    @staticmethod
+    def _sort_key(item: tuple) -> object:
+        return item[0].outputs
 
     @classmethod
     def point(cls, f: FiniteFunction) -> "FunctionDistribution":
         """The distribution concentrated on a single function."""
         return cls(f.domain_size, f.codomain_size, {f: ONE})
 
-    @property
-    def support(self) -> dict[FiniteFunction, Rational]:
-        return dict(self._items)
-
-    def items(self) -> tuple[tuple[FiniteFunction, Rational], ...]:
-        """Support pairs sorted by output table."""
-        return self._items
-
     def functions(self) -> tuple[FiniteFunction, ...]:
         return tuple(f for f, _ in self._items)
-
-    def weight(self, f: FiniteFunction) -> Rational:
-        return self._support.get(f, ZERO)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FunctionDistribution):
-            return NotImplemented
-        return (
-            self.domain_size == other.domain_size
-            and self.codomain_size == other.codomain_size
-            and self._items == other._items
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain_size, self.codomain_size, self._items))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{f.outputs}: {w}" for f, w in self._items)
@@ -189,23 +230,15 @@ class StochasticMap:
     entries: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(exact(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        rows = tuple(tuple(row) for row in self.entries)
         if self.input_size < 1 or self.output_size < 1:
             raise ValueError("alphabets must be nonempty")
         if len(rows) != self.output_size or any(len(r) != self.input_size for r in rows):
             raise ValueError("entry matrix shape must be output_size x input_size")
-        for row in rows:
-            for v in row:
-                if v < 0:
-                    raise ValueError(f"negative conditional probability {v}")
-        for x in range(self.input_size):
-            col = sum((rows[y][x] for y in range(self.output_size)), start=ZERO)
-            if col != ONE:
-                raise ValueError(f"column {x} sums to {col}, expected 1")
-
-    def column(self, x: int) -> tuple[Rational, ...]:
-        return tuple(self.entries[y][x] for y in range(self.output_size))
+        columns = [
+            probability_vector(col, f"column {x} weight") for x, col in enumerate(zip(*rows))
+        ]
+        object.__setattr__(self, "entries", tuple(zip(*columns)))
 
 
 def compose_distributions(

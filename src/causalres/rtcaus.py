@@ -12,16 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FiniteFunction, compose_functions, image_size
+from .core import ExtremalComb, FiniteFunction, compose_functions, image_size
 from .errors import NotConvertible
 
-
-@dataclass(frozen=True)
-class DeterministicWitness:
-    """A (pre, post) pair certifying one conversion: post after f after pre."""
-
-    pre: FiniteFunction
-    post: FiniteFunction
+# A witness is the same deterministic (pre, post) pair that spans the free
+# polytope of the probabilistic theory.
+DeterministicWitness = ExtremalComb
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ONE,
     ZERO,
+    ExactDistribution,
+    ExtremalComb,
     FiniteFunction,
     FunctionDistribution,
     Rational,
-    WeightLike,
     compose_functions,
-    exact,
     image_size,
 )
 from .errors import ResourceBudgetExceeded, SizeMismatch
@@ -31,84 +31,39 @@ from .exactlp import convex_weights
 DEFAULT_COMB_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class ExtremalComb:
-    """A deterministic (pre, post) pair; extreme point of the free polytope."""
-
-    pre: FiniteFunction
-    post: FiniteFunction
-
-
-MixtureLike = Union[
-    Mapping[ExtremalComb, WeightLike],
-    Iterable[tuple[ExtremalComb, WeightLike]],
-]
-
-
-class CombMixture:
+class CombMixture(ExactDistribution):
     """Common-cause-correlated mixture of deterministic (pre, post) pairs.
 
-    All supported combs must share one signature. Weights behave exactly as
-    in FunctionDistribution: positive, exact, summing to one.
+    All supported combs must share one signature. `items()` is sorted by
+    (pre table, post table).
     """
 
-    __slots__ = ("_support", "_items")
+    __slots__ = ()
 
-    def __init__(self, support: MixtureLike) -> None:
-        pairs = support.items() if isinstance(support, Mapping) else support
-        acc: dict[ExtremalComb, Rational] = {}
-        signature = None
-        for comb, raw in pairs:
+    def _check_outcomes(self, outcomes: Iterable) -> None:
+        signatures = set()
+        for comb in outcomes:
             if not isinstance(comb, ExtremalComb):
                 raise TypeError(f"support keys must be combs, got {comb!r}")
-            sig = (
-                comb.pre.domain_size,
-                comb.pre.codomain_size,
-                comb.post.domain_size,
-                comb.post.codomain_size,
+            signatures.add(
+                (
+                    comb.pre.domain_size,
+                    comb.pre.codomain_size,
+                    comb.post.domain_size,
+                    comb.post.codomain_size,
+                )
             )
-            if signature is None:
-                signature = sig
-            elif sig != signature:
-                raise SizeMismatch(f"comb signature {sig} differs from {signature}")
-            w = exact(raw)
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-            if w > 0:
-                acc[comb] = acc.get(comb, ZERO) + w
-        if sum(acc.values(), start=ZERO) != ONE:
-            raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "_support", acc)
-        object.__setattr__(
-            self,
-            "_items",
-            tuple(sorted(acc.items(), key=lambda kv: (kv[0].pre.outputs, kv[0].post.outputs))),
-        )
+        if len(signatures) > 1:
+            raise SizeMismatch(f"combs of several signatures: {sorted(signatures)}")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CombMixture is immutable")
+    @staticmethod
+    def _sort_key(item: tuple) -> object:
+        comb = item[0]
+        return (comb.pre.outputs, comb.post.outputs)
 
     @classmethod
     def point(cls, comb: ExtremalComb) -> "CombMixture":
         return cls({comb: ONE})
-
-    @property
-    def support(self) -> dict[ExtremalComb, Rational]:
-        return dict(self._items)
-
-    def items(self) -> tuple[tuple[ExtremalComb, Rational], ...]:
-        return self._items
-
-    def weight(self, comb: ExtremalComb) -> Rational:
-        return self._support.get(comb, ZERO)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CombMixture):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -196,30 +151,30 @@ def apply_extremal(comb: ExtremalComb, P: FunctionDistribution) -> FunctionDistr
 def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistribution:
     """Weighted pushforward; convexity of the weights keeps it normalized."""
     acc: dict[FiniteFunction, Rational] = {}
-    result_sizes = None
     for comb, w in m.items():
-        image = apply_extremal(comb, P)
-        result_sizes = (image.domain_size, image.codomain_size)
-        for f, p in image.items():
+        for f, p in apply_extremal(comb, P).items():
             acc[f] = acc.get(f, ZERO) + w * p
-    assert result_sizes is not None
-    return FunctionDistribution(result_sizes[0], result_sizes[1], acc)
+    first = m.items()[0][0]
+    return FunctionDistribution(first.pre.domain_size, first.post.codomain_size, acc)
 
 
 def _distinct_images(
-    P: FunctionDistribution, combs: Sequence[ExtremalComb]
-) -> tuple[list[FunctionDistribution], list[ExtremalComb]]:
-    """One representative comb per distinct image, in first-seen order."""
-    images: list[FunctionDistribution] = []
-    reps: list[ExtremalComb] = []
+    P: FunctionDistribution, combs: Iterable[ExtremalComb]
+) -> Iterator[tuple[FunctionDistribution, ExtremalComb]]:
+    """Each distinct image of P, with the first comb producing it, in comb order."""
     seen: set[FunctionDistribution] = set()
     for comb in combs:
         image = apply_extremal(comb, P)
         if image not in seen:
             seen.add(image)
-            images.append(image)
-            reps.append(comb)
-    return images, reps
+            yield image, comb
+
+
+def _axis(images: Iterable[FunctionDistribution]) -> list[FiniteFunction]:
+    """Every function some image supports, sorted by output table."""
+    return sorted(
+        {f for image in images for f in image.functions()}, key=lambda f: f.outputs
+    )
 
 
 def _coordinates(
@@ -240,7 +195,7 @@ def know_convertible(
     question goes to the feasibility LP. Two shortcuts keep desk-scale runs
     fast without changing any verdict: a resource reachable by a single comb
     returns that comb as a point certificate without touching the LP (the
-    identity comb is tried first so reflexive questions certify themselves),
+    identity comb answers reflexive questions before any other is tried),
     and a target supported outside everything the images can reach is
     rejected outright, since a mixture never puts weight on a function that
     no image supports.
@@ -248,34 +203,26 @@ def know_convertible(
     combs = enumerate_extremal_combs(
         P.domain_size, P.codomain_size, Q.domain_size, Q.codomain_size, budget=budget
     )
-    if (P.domain_size, P.codomain_size) == (Q.domain_size, Q.codomain_size):
+    if P == Q:
         ident = ExtremalComb(
             FiniteFunction.identity(P.domain_size),
             FiniteFunction.identity(P.codomain_size),
         )
-        if apply_extremal(ident, P) == Q:
-            return ConversionVerdict(True, CombMixture.point(ident))
+        return ConversionVerdict(True, CombMixture.point(ident))
 
     images: list[FunctionDistribution] = []
     reps: list[ExtremalComb] = []
-    seen: set[FunctionDistribution] = set()
-    for comb in combs:
-        image = apply_extremal(comb, P)
+    for image, comb in _distinct_images(P, combs):
         if image == Q:
             return ConversionVerdict(True, CombMixture.point(comb))
-        if image not in seen:
-            seen.add(image)
-            images.append(image)
-            reps.append(comb)
+        images.append(image)
+        reps.append(comb)
 
-    reachable: set[FiniteFunction] = set()
-    for image in images:
-        reachable.update(image.functions())
-    if any(f not in reachable for f in Q.functions()):
+    axis = _axis(images)
+    target = [Q.weight(f) for f in axis]
+    if sum(target, start=ZERO) != ONE:
         return ConversionVerdict(False, None)
-
-    axis = sorted(reachable, key=lambda f: f.outputs)
-    weights = convex_weights(_coordinates(images, axis), [Q.weight(f) for f in axis])
+    weights = convex_weights(_coordinates(images, axis), target)
     if weights is None:
         return ConversionVerdict(False, None)
     certificate = CombMixture(
@@ -300,16 +247,11 @@ def downward_closure_vertices(
     combs = enumerate_extremal_combs(
         P.domain_size, P.codomain_size, P.domain_size, P.codomain_size, budget=budget
     )
-    images, _ = _distinct_images(P, combs)
+    images = [image for image, _ in _distinct_images(P, combs)]
     if len(images) == 1:
         return images
 
-    axis_set: set[FiniteFunction] = set()
-    for image in images:
-        axis_set.update(image.functions())
-    axis = sorted(axis_set, key=lambda f: f.outputs)
-    coords = _coordinates(images, axis)
-
+    coords = _coordinates(images, _axis(images))
     vertices = []
     for i, image in enumerate(images):
         others = coords[:i] + coords[i + 1 :]

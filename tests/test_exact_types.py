@@ -1,0 +1,118 @@
+"""Validation of the exact value types: distributions, probability vectors, combs."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from causalres import (
+    FLIP,
+    IDENT,
+    BetaSpectrum,
+    CombMixture,
+    DeterministicWitness,
+    ExtremalComb,
+    FiniteFunction,
+    FunctionDistribution,
+    Prior,
+    SizeMismatch,
+    StochasticMap,
+)
+
+F = Fraction
+
+BIT_COMB = ExtremalComb(IDENT, FLIP)
+# Maps a 2->2 resource to a 3->2 one, so its signature differs from BIT_COMB's.
+WIDE_COMB = ExtremalComb(FiniteFunction(3, 2, (0, 1, 1)), IDENT)
+
+
+# CombMixture
+
+
+def test_mixture_rejects_mixed_comb_signatures():
+    with pytest.raises(SizeMismatch):
+        CombMixture({BIT_COMB: F(1, 2), WIDE_COMB: F(1, 2)})
+
+
+def test_mixture_rejects_keys_that_are_not_combs():
+    with pytest.raises(TypeError):
+        CombMixture({IDENT: F(1)})
+
+
+def test_mixture_rejects_float_weights():
+    with pytest.raises(TypeError):
+        CombMixture({BIT_COMB: 1.0})
+
+
+def test_mixture_rejects_negative_weights():
+    with pytest.raises(ValueError):
+        CombMixture({BIT_COMB: F(3, 2), ExtremalComb(FLIP, FLIP): F(-1, 2)})
+
+
+def test_mixture_rejects_weights_short_of_one():
+    with pytest.raises(ValueError):
+        CombMixture({BIT_COMB: F(1, 2)})
+
+
+# immutability and equality across the two distribution types
+
+
+@pytest.mark.parametrize(
+    "value",
+    [FunctionDistribution.point(IDENT), CombMixture.point(BIT_COMB)],
+    ids=["FunctionDistribution", "CombMixture"],
+)
+@pytest.mark.parametrize("attribute", ["_items", "_support", "domain_size", "extra"])
+def test_distributions_refuse_setattr(value, attribute):
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, None)
+
+
+def test_a_mixture_never_equals_a_function_distribution():
+    mixture = CombMixture.point(BIT_COMB)
+    dist = FunctionDistribution.point(IDENT)
+    assert mixture != dist
+    assert dist != mixture
+    assert not mixture == dist
+    assert len({mixture, dist}) == 2
+
+
+# probability vectors
+
+
+def test_prior_rejects_floats():
+    with pytest.raises(TypeError):
+        Prior(weights=(0.5, 0.5))
+
+
+def test_spectrum_rejects_a_negative_entry():
+    with pytest.raises(ValueError):
+        BetaSpectrum((F(3, 2), F(-1, 2)))
+
+
+def test_spectrum_rejects_floats():
+    with pytest.raises(TypeError):
+        BetaSpectrum((0.5, 0.5))
+
+
+def test_stochastic_map_rejects_a_negative_entry():
+    with pytest.raises(ValueError):
+        StochasticMap(2, 2, ((F(3, 2), F(0)), (F(-1, 2), F(1))))
+
+
+def test_stochastic_map_rejects_floats():
+    with pytest.raises(TypeError):
+        StochasticMap(2, 2, ((0.5, 1.0), (0.5, 0.0)))
+
+
+def test_stochastic_map_rejects_a_wrong_shape():
+    with pytest.raises(ValueError):
+        StochasticMap(2, 2, ((F(1), F(1)),))
+
+
+# one (pre, post) pair
+
+
+def test_witness_and_comb_are_one_type():
+    assert DeterministicWitness is ExtremalComb
