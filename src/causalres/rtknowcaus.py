@@ -170,17 +170,24 @@ def _distinct_images(
             yield image, comb
 
 
-def _axis(images: Iterable[FunctionDistribution]) -> list[FiniteFunction]:
-    """Every function some image supports, sorted by output table."""
-    return sorted(
-        {f for image in images for f in image.functions()}, key=lambda f: f.outputs
+def _hull_weights(
+    target: FunctionDistribution, points: Iterable[FunctionDistribution]
+) -> Optional[dict[FunctionDistribution, Rational]]:
+    """Positive weights of points that mix exactly to target, or None.
+
+    A mixture of nonnegative points puts weight only where target does, so
+    only points supported inside supp(target) can take part, and the
+    functions of target are the whole axis of the LP.
+    """
+    axis = target.functions()
+    on_axis = set(axis)
+    inside = [p for p in points if on_axis.issuperset(p.functions())]
+    weights = convex_weights(
+        [[p.weight(f) for f in axis] for p in inside], [target.weight(f) for f in axis]
     )
-
-
-def _coordinates(
-    dists: Sequence[FunctionDistribution], axis: Sequence[FiniteFunction]
-) -> list[list[Rational]]:
-    return [[d.weight(f) for f in axis] for d in dists]
+    if weights is None:
+        return None
+    return {p: w for p, w in zip(inside, weights) if w > 0}
 
 
 def know_convertible(
@@ -192,13 +199,12 @@ def know_convertible(
 
     Q is convertible from P exactly when it lies in the convex hull of the
     images of P under the extremal combs, so after deduplicating images the
-    question goes to the feasibility LP. Two shortcuts keep desk-scale runs
-    fast without changing any verdict: a resource reachable by a single comb
-    returns that comb as a point certificate without touching the LP (the
-    identity comb answers reflexive questions before any other is tried),
-    and a target supported outside everything the images can reach is
-    rejected outright, since a mixture never puts weight on a function that
-    no image supports.
+    question goes to the feasibility LP over the images supported inside
+    supp(Q), the only ones a mixture equal to Q can use. One shortcut keeps
+    desk-scale runs fast without changing any verdict: a resource reachable
+    by a single comb returns that comb as a point certificate without
+    touching the LP (the identity comb answers reflexive questions before
+    any other is tried).
     """
     combs = enumerate_extremal_combs(
         P.domain_size, P.codomain_size, Q.domain_size, Q.codomain_size, budget=budget
@@ -210,24 +216,16 @@ def know_convertible(
         )
         return ConversionVerdict(True, CombMixture.point(ident))
 
-    images: list[FunctionDistribution] = []
-    reps: list[ExtremalComb] = []
+    reps: dict[FunctionDistribution, ExtremalComb] = {}
     for image, comb in _distinct_images(P, combs):
         if image == Q:
             return ConversionVerdict(True, CombMixture.point(comb))
-        images.append(image)
-        reps.append(comb)
+        reps[image] = comb
 
-    axis = _axis(images)
-    target = [Q.weight(f) for f in axis]
-    if sum(target, start=ZERO) != ONE:
-        return ConversionVerdict(False, None)
-    weights = convex_weights(_coordinates(images, axis), target)
+    weights = _hull_weights(Q, reps)
     if weights is None:
         return ConversionVerdict(False, None)
-    certificate = CombMixture(
-        {rep: w for rep, w in zip(reps, weights) if w > 0}
-    )
+    certificate = CombMixture({reps[image]: w for image, w in weights.items()})
     if apply_mixture(certificate, P) != Q:
         raise AssertionError("feasible LP weights failed to reproduce the target")
     return ConversionVerdict(True, certificate)
@@ -239,25 +237,23 @@ def downward_closure_vertices(
     """Vertices of the polytope of resources reachable from P.
 
     The closure keeps the signature of P. Candidate points are the distinct
-    images of P under the extremal combs; a candidate is a vertex exactly
+    images of P under the extremal combs; a candidate c is a vertex exactly
     when it is not a convex combination of the remaining candidates, which
     is safe to test pointwise because interior candidates only ever lean on
-    vertices, never on each other.
+    vertices, never on each other. A mixture equal to c uses only points
+    supported inside supp(c), so c lies in the hull of the other candidates
+    exactly when it lies in the hull of those among them supported inside
+    supp(c), and that smaller hull is the one tested.
     """
     combs = enumerate_extremal_combs(
         P.domain_size, P.codomain_size, P.domain_size, P.codomain_size, budget=budget
     )
     images = [image for image, _ in _distinct_images(P, combs)]
-    if len(images) == 1:
-        return images
-
-    coords = _coordinates(images, _axis(images))
-    vertices = []
-    for i, image in enumerate(images):
-        others = coords[:i] + coords[i + 1 :]
-        if convex_weights(others, coords[i]) is None:
-            vertices.append(image)
-    return vertices
+    return [
+        image
+        for i, image in enumerate(images)
+        if _hull_weights(image, images[:i] + images[i + 1 :]) is None
+    ]
 
 
 def hasse(

@@ -2,6 +2,9 @@
 
 Functions live here as bare output tuples and distributions as plain dicts,
 so nothing in this file can accidentally share a code path with the library.
+The one exception is the full-axis hull reference, which hands its own
+coordinates to the library's exact LP: it checks which points and rows reach
+the solver, not the solver itself.
 The unit tests import the searchers directly; the frozen constants in the
 test modules were produced by running this file as a script:
 
@@ -152,6 +155,51 @@ def spectrum(dist: dict, cod: int) -> list[Fraction]:
     for table, w in dist.items():
         out[image_size(table) - 1] += w
     return out
+
+
+def distinct_images(dist: dict, dom: int, cod: int) -> list[dict]:
+    """Images of a dom->cod resource under every (pre, post) table pair.
+
+    Pairs run in lexicographic order of (pre, post) and each image is kept
+    at its first occurrence.
+    """
+    images: list[dict] = []
+    seen: set = set()
+    for pre in all_tables(dom, dom):
+        for post in all_tables(cod, cod):
+            image = pushforward(dist, pre, post)
+            key = frozenset(image.items())
+            if key not in seen:
+                seen.add(key)
+                images.append(image)
+    return images
+
+
+def full_axis_weights(points: list[dict], target: dict, axis: list) -> list | None:
+    """Convex weights of points reaching target, over one global axis of tables."""
+    # Imported here so that running this file as a script needs no package.
+    from causalres.exactlp import convex_weights
+
+    coords = [[p.get(t, F(0)) for t in axis] for p in points]
+    return convex_weights(coords, [target.get(t, F(0)) for t in axis])
+
+
+def full_axis_convertible(src: dict, dst: dict, dom: int, cod: int) -> bool:
+    """Hull membership of dst among all images of src, every point on the LP."""
+    images = distinct_images(src, dom, cod)
+    axis = sorted({t for image in images for t in image})
+    return full_axis_weights(images, dst, axis) is not None
+
+
+def full_axis_closure(dist: dict, dom: int, cod: int) -> list[dict]:
+    """The images that are not in the hull of all the other images."""
+    images = distinct_images(dist, dom, cod)
+    axis = sorted({t for image in images for t in image})
+    return [
+        image
+        for i, image in enumerate(images)
+        if full_axis_weights(images[:i] + images[i + 1 :], image, axis) is None
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ COMMANDS = (
     f"hasse {BITS}",
     f"hasse --format report {BITS}",
     "game --prior 9/10,1/10 bit2",
+    "closure trit_mix",
 )
 
 

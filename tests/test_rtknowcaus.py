@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from causalres import (
     BUILTIN,
@@ -18,6 +22,7 @@ from causalres import (
     FunctionDistribution,
     ResourceBudgetExceeded,
     SizeMismatch,
+    all_functions,
     apply_extremal,
     apply_mixture,
     bit_resource,
@@ -27,7 +32,7 @@ from causalres import (
     is_free_resource,
     know_convertible,
 )
-from strategies import bit_distributions, random_bit_distribution
+from strategies import bit_distributions, distributions, random_bit_distribution
 
 F = Fraction
 
@@ -39,6 +44,10 @@ def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
 
 def support_key(P: FunctionDistribution):
     return [(f.outputs, w) for f, w in P.items()]
+
+
+def as_dict(P: FunctionDistribution) -> dict:
+    return {f.outputs: w for f, w in P.items()}
 
 
 COIN = bits(F(1, 2), F(1, 2), 0, 0)
@@ -254,3 +263,86 @@ def test_conversion_is_transitive_on_samples():
         if know_convertible(P, Q) and know_convertible(Q, R):
             assert know_convertible(P, R)
             checked += 1
+
+
+@pytest.fixture(scope="module")
+def trit_mix_vertices():
+    return downward_closure_vertices(BUILTIN["trit_mix"])
+
+
+@pytest.mark.parametrize(
+    "pre,post",
+    [((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 1)), ((1, 0, 2), (0, 2, 1))],
+)
+def test_trit_mix_closure_commutes_with_relabelling(trit_mix_vertices, pre, post):
+    # The LP's pivot path follows the labels, so a relabelled run is an
+    # independent computation of the same vertex set.
+    relabel = ExtremalComb(FiniteFunction(3, 3, pre), FiniteFunction(3, 3, post))
+    relabelled = downward_closure_vertices(apply_extremal(relabel, BUILTIN["trit_mix"]))
+    assert len(trit_mix_vertices) == 57
+    assert set(relabelled) == {apply_extremal(relabel, v) for v in trit_mix_vertices}
+
+
+@st.composite
+def hull_questions(draw, dom: int, cod: int):
+    """A source and a target; half the targets are mixed from images of the source."""
+    P = draw(distributions(dom, cod, max_support=3))
+    if not draw(st.booleans()):
+        return P, draw(distributions(dom, cod, max_support=3))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(oracles.all_tables(dom, dom)),
+                st.sampled_from(oracles.all_tables(cod, cod)),
+                st.integers(1, 6),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    total = sum(w for _, _, w in pairs)
+    mixed = oracles.mix(
+        [(F(w, total), oracles.pushforward(as_dict(P), pre, post)) for pre, post, w in pairs]
+    )
+    return P, FunctionDistribution(
+        dom, cod, {FiniteFunction(dom, cod, t): w for t, w in mixed.items()}
+    )
+
+
+@pytest.mark.parametrize(
+    "dom,cod,examples", [(2, 2, 25), (2, 3, 10), (3, 2, 10), (3, 3, 3)]
+)
+def test_verdicts_match_the_full_axis_reference(dom, cod, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(hull_questions(dom, cod))
+    def check(question):
+        P, Q = question
+        for src, dst in ((P, Q), (Q, P)):
+            verdict = know_convertible(src, dst)
+            assert verdict.convertible == oracles.full_axis_convertible(
+                as_dict(src), as_dict(dst), dom, cod
+            )
+
+    check()
+
+
+@pytest.mark.parametrize("dom,cod", [(2, 3), (3, 2)])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_closure_matches_the_full_axis_reference(dom, cod, data):
+    P = data.draw(distributions(dom, cod, max_support=3))
+    vertices = downward_closure_vertices(P)
+    assert [as_dict(v) for v in vertices] == oracles.full_axis_closure(as_dict(P), dom, cod)
+
+
+def test_random_four_letter_pair_decides_within_a_minute():
+    rng = random.Random(4)
+    pool = list(all_functions(4, 4))
+    P, Q = (
+        FunctionDistribution(4, 4, zip(rng.sample(pool, 4), (F(k, 10) for k in range(1, 5))))
+        for _ in range(2)
+    )
+    start = time.perf_counter()
+    verdict = know_convertible(P, Q)
+    assert time.perf_counter() - start < 60.0
+    assert not verdict.convertible
