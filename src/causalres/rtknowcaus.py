@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -101,6 +102,20 @@ def is_free_resource(P: FunctionDistribution) -> bool:
     return all(image_size(f) == 1 for f in P.functions())
 
 
+def _check_comb_budget(
+    src_domain: int, src_codomain: int, tgt_domain: int, tgt_codomain: int, budget: int
+) -> None:
+    """Refuse a conversion signature whose comb count exceeds the budget."""
+    for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
+        if size < 1:
+            raise ValueError("alphabet sizes must be positive")
+    count = src_domain**tgt_domain * tgt_codomain**src_codomain
+    if count > budget:
+        raise ResourceBudgetExceeded(
+            f"{count} extremal combs exceed the budget of {budget}"
+        )
+
+
 def enumerate_extremal_combs(
     src_domain: int,
     src_codomain: int,
@@ -115,14 +130,7 @@ def enumerate_extremal_combs(
     order of (pre table, post table). The count is checked against the budget
     before anything is materialized.
     """
-    for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
-        if size < 1:
-            raise ValueError("alphabet sizes must be positive")
-    count = src_domain**tgt_domain * tgt_codomain**src_codomain
-    if count > budget:
-        raise ResourceBudgetExceeded(
-            f"{count} extremal combs exceed the budget of {budget}"
-        )
+    _check_comb_budget(src_domain, src_codomain, tgt_domain, tgt_codomain, budget)
     pres = [
         FiniteFunction(tgt_domain, src_domain, outputs)
         for outputs in product(range(src_domain), repeat=tgt_domain)
@@ -159,15 +167,51 @@ def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistributi
 
 
 def _distinct_images(
-    P: FunctionDistribution, combs: Iterable[ExtremalComb]
-) -> Iterator[tuple[FunctionDistribution, ExtremalComb]]:
-    """Each distinct image of P, with the first comb producing it, in comb order."""
-    seen: set[FunctionDistribution] = set()
-    for comb in combs:
-        image = apply_extremal(comb, P)
-        if image not in seen:
-            seen.add(image)
-            yield image, comb
+    P: FunctionDistribution, tgt_domain: int, tgt_codomain: int, budget: int
+) -> tuple[int, Iterator[tuple]]:
+    """Each distinct image of P as an integer-coded key, with its first comb.
+
+    P's weights become integer numerators over den, their least common
+    denominator, and an image's key is its sorted (output table, numerator)
+    pairs, so keys compare and sort like `FunctionDistribution.items()`.
+    Each pre is composed with the support tables once, and a pre that yields
+    the same composed tables as an earlier one can only repeat its images,
+    so it is skipped. Returns den and an iterator of (key, pre table, post
+    table) for the first comb of each new key, in comb order; the budget is
+    checked before this returns. `_image` builds the distribution of a key.
+    """
+    _check_comb_budget(P.domain_size, P.codomain_size, tgt_domain, tgt_codomain, budget)
+    den = lcm(*(w.denominator for _, w in P.items()))
+    support = [(f.outputs, w.numerator * (den // w.denominator)) for f, w in P.items()]
+
+    def images() -> Iterator[tuple]:
+        posts = list(product(range(tgt_codomain), repeat=P.codomain_size))
+        seen: set[tuple] = set()
+        seen_mids: set[tuple] = set()
+        for pre in product(range(P.domain_size), repeat=tgt_domain):
+            mids = tuple(sorted((tuple(t[x] for x in pre), n) for t, n in support))
+            if mids in seen_mids:
+                continue
+            seen_mids.add(mids)
+            for post in posts:
+                acc: dict[tuple[int, ...], int] = {}
+                for mid, n in mids:
+                    out = tuple(map(post.__getitem__, mid))
+                    acc[out] = acc.get(out, 0) + n
+                key = tuple(sorted(acc.items()))
+                if key not in seen:
+                    seen.add(key)
+                    yield key, pre, post
+
+    return den, images()
+
+
+def _image(domain: int, codomain: int, den: int, key: tuple) -> FunctionDistribution:
+    return FunctionDistribution(
+        domain,
+        codomain,
+        {FiniteFunction(domain, codomain, t): Rational(n, den) for t, n in key},
+    )
 
 
 def _hull_weights(
@@ -200,15 +244,15 @@ def know_convertible(
     Q is convertible from P exactly when it lies in the convex hull of the
     images of P under the extremal combs, so after deduplicating images the
     question goes to the feasibility LP over the images supported inside
-    supp(Q), the only ones a mixture equal to Q can use. One shortcut keeps
-    desk-scale runs fast without changing any verdict: a resource reachable
-    by a single comb returns that comb as a point certificate without
-    touching the LP (the identity comb answers reflexive questions before
-    any other is tried).
+    supp(Q), the only ones a mixture equal to Q can use; images are compared
+    as integer-coded keys, and only those LP points are built as objects.
+    One shortcut keeps desk-scale runs fast without changing any verdict: a
+    resource reachable by a single comb returns that comb as a point
+    certificate without touching the LP (the identity comb answers
+    reflexive questions before any other is tried).
     """
-    combs = enumerate_extremal_combs(
-        P.domain_size, P.codomain_size, Q.domain_size, Q.codomain_size, budget=budget
-    )
+    d, c = Q.domain_size, Q.codomain_size
+    den, images = _distinct_images(P, d, c, budget)
     if P == Q:
         ident = ExtremalComb(
             FiniteFunction.identity(P.domain_size),
@@ -216,11 +260,21 @@ def know_convertible(
         )
         return ConversionVerdict(True, CombMixture.point(ident))
 
+    def comb(pre: tuple[int, ...], post: tuple[int, ...]) -> ExtremalComb:
+        return ExtremalComb(
+            FiniteFunction(d, P.domain_size, pre), FiniteFunction(P.codomain_size, c, post)
+        )
+
+    # A weight of Q off P's denominator leaves a non-integer numerator here,
+    # so the key of Q then equals no image key.
+    target = tuple((f.outputs, w * den) for f, w in Q.items())
+    on_axis = {f.outputs for f in Q.functions()}
     reps: dict[FunctionDistribution, ExtremalComb] = {}
-    for image, comb in _distinct_images(P, combs):
-        if image == Q:
-            return ConversionVerdict(True, CombMixture.point(comb))
-        reps[image] = comb
+    for key, pre, post in images:
+        if key == target:
+            return ConversionVerdict(True, CombMixture.point(comb(pre, post)))
+        if on_axis.issuperset(t for t, _ in key):
+            reps[_image(d, c, den, key)] = comb(pre, post)
 
     weights = _hull_weights(Q, reps)
     if weights is None:
@@ -245,10 +299,9 @@ def downward_closure_vertices(
     exactly when it lies in the hull of those among them supported inside
     supp(c), and that smaller hull is the one tested.
     """
-    combs = enumerate_extremal_combs(
-        P.domain_size, P.codomain_size, P.domain_size, P.codomain_size, budget=budget
-    )
-    images = [image for image, _ in _distinct_images(P, combs)]
+    d, c = P.domain_size, P.codomain_size
+    den, keys = _distinct_images(P, d, c, budget)
+    images = [_image(d, c, den, key) for key, _, _ in keys]
     return [
         image
         for i, image in enumerate(images)

@@ -2,9 +2,12 @@
 
 Functions live here as bare output tuples and distributions as plain dicts,
 so nothing in this file can accidentally share a code path with the library.
-The one exception is the full-axis hull reference, which hands its own
-coordinates to the library's exact LP: it checks which points and rows reach
-the solver, not the solver itself.
+Two exceptions check one layer of the library against another of its own:
+the full-axis hull reference hands its own coordinates to the library's
+exact LP, so it checks which points and rows reach the solver, not the
+solver itself; and the comb-by-comb image reference runs the library's
+`apply_extremal` over `enumerate_extremal_combs`, the object route that the
+integer-coded image kernel replaced.
 The unit tests import the searchers directly; the frozen constants in the
 test modules were produced by running this file as a script:
 
@@ -200,6 +203,22 @@ def full_axis_closure(dist: dict, dom: int, cod: int) -> list[dict]:
         for i, image in enumerate(images)
         if full_axis_weights(images[:i] + images[i + 1 :], image, axis) is None
     ]
+
+
+def comb_by_comb_images(P, tgt_domain: int, tgt_codomain: int) -> list:
+    """(image, first comb) for each distinct image of P, in comb order."""
+    from causalres.rtknowcaus import apply_extremal, enumerate_extremal_combs
+
+    images: list = []
+    seen: set = set()
+    for comb in enumerate_extremal_combs(
+        P.domain_size, P.codomain_size, tgt_domain, tgt_codomain
+    ):
+        image = apply_extremal(comb, P)
+        if image not in seen:
+            seen.add(image)
+            images.append((image, comb))
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,13 @@ def test_budget_exhaustion_exits_with_three(capsys):
     assert "budget" in err
 
 
+def test_budget_is_checked_before_the_identity_shortcut(capsys):
+    code, out, err = run(capsys, "--budget", "3", "convert", "bit4", "bit4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: 16 extremal combs exceed the budget of 3\n"
+
+
 def test_budget_flag_after_the_subcommand(capsys):
     code, _, _ = run(capsys, "convert", "bit1", "bit2", "--budget", "3")
     assert code == 3

@@ -12,6 +12,7 @@ import oracles
 
 from causalres import (
     BUILTIN,
+    DEFAULT_COMB_BUDGET,
     FLIP,
     IDENT,
     RESET0,
@@ -32,7 +33,13 @@ from causalres import (
     is_free_resource,
     know_convertible,
 )
-from strategies import bit_distributions, distributions, random_bit_distribution
+from causalres.rtknowcaus import _distinct_images, _image
+from strategies import (
+    bit_distributions,
+    distributions,
+    random_bit_distribution,
+    random_function,
+)
 
 F = Fraction
 
@@ -80,6 +87,15 @@ def test_comb_count_with_unit_target_domain():
 def test_comb_budget_is_enforced_before_materialization():
     with pytest.raises(ResourceBudgetExceeded):
         enumerate_extremal_combs(4, 4, 4, 4, budget=100)
+
+
+def test_budget_is_checked_before_the_identity_shortcut():
+    P = BUILTIN["bit4"]
+    message = "16 extremal combs exceed the budget of 1"
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        know_convertible(P, P, budget=1)
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        downward_closure_vertices(P, budget=1)
 
 
 def test_identity_comb_fixes_everything():
@@ -346,3 +362,128 @@ def test_random_four_letter_pair_decides_within_a_minute():
     verdict = know_convertible(P, Q)
     assert time.perf_counter() - start < 60.0
     assert not verdict.convertible
+
+
+SIGNATURES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("tgt", SIGNATURES, ids=lambda s: f"to{s[0]}{s[1]}")
+@pytest.mark.parametrize("src", SIGNATURES, ids=lambda s: f"from{s[0]}{s[1]}")
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_image_kernel_matches_the_comb_by_comb_reference(src, tgt, data):
+    P = data.draw(distributions(*src, max_support=3))
+    den, images = _distinct_images(P, *tgt, DEFAULT_COMB_BUDGET)
+    got = [(key, _image(*tgt, den, key), pre, post) for key, pre, post in images]
+    expected = [
+        (
+            tuple((f.outputs, w * den) for f, w in image.items()),
+            image,
+            comb.pre.outputs,
+            comb.post.outputs,
+        )
+        for image, comb in oracles.comb_by_comb_images(P, *tgt)
+    ]
+    assert got == expected
+
+
+def assert_verdict_matches_the_reference(P, Q):
+    verdict = know_convertible(P, Q)
+    assert verdict.convertible == oracles.full_axis_convertible(
+        as_dict(P), as_dict(Q), Q.domain_size, Q.codomain_size
+    )
+    if verdict.convertible:
+        assert apply_mixture(verdict.certificate, P) == Q
+
+
+def tables(dom: int, cod: int, weights: dict) -> FunctionDistribution:
+    return FunctionDistribution(
+        dom, cod, {FiniteFunction(dom, cod, t): F(w) for t, w in weights.items()}
+    )
+
+
+@pytest.mark.parametrize(
+    "halves,thirds",
+    [
+        (COIN, bits(0, 0, F(1, 3), F(2, 3))),
+        (COIN, bits(F(1, 3), F(2, 3), 0, 0)),
+        (STUCK, bits(F(1, 3), 0, F(1, 3), F(1, 3))),
+        (
+            tables(2, 3, {(0, 1): "1/2", (2, 2): "1/2"}),
+            tables(2, 3, {(0, 0): "1/3", (1, 1): "1/3", (2, 2): "1/3"}),
+        ),
+        (
+            tables(3, 2, {(0, 1, 1): "1/2", (1, 0, 0): "1/4", (0, 0, 0): "1/4"}),
+            tables(3, 2, {(0, 1, 1): "1/3", (1, 0, 0): "1/3", (0, 0, 0): "1/3"}),
+        ),
+    ],
+)
+def test_target_weights_off_the_source_denominator(halves, thirds):
+    # The target's weights are no multiples of 1/den of the source, so its
+    # integer-coded key has fractional numerators and equals no image key.
+    assert_verdict_matches_the_reference(halves, thirds)
+    assert_verdict_matches_the_reference(thirds, halves)
+
+
+@pytest.mark.parametrize(
+    "P,pre,post,shift",
+    [
+        (BUILTIN["bit7"], (0, 1), (0, 1), F(1, 36)),
+        (BUILTIN["bit7"], (1, 0), (0, 1), F(1, 18)),
+        (BUILTIN["mono_gamma_a"], (0, 1), (1, 0), F(1, 100)),
+        (BUILTIN["trit_mix"], (0, 1, 2), (0, 1, 2), F(1, 12)),
+        (BUILTIN["trit_mix"], (2, 0, 1), (1, 2, 2), F(1, 9)),
+        (
+            tables(2, 3, {(0, 1): "1/6", (2, 0): "1/3", (1, 1): "1/2"}),
+            (1, 0),
+            (0, 1, 2),
+            F(1, 6),
+        ),
+    ],
+)
+def test_target_off_an_image_in_one_weight(P, pre, post, shift):
+    # The target has the tables of an image and all its numerators but two:
+    # shift moves from the heaviest table to the lightest.
+    d, c = P.domain_size, P.codomain_size
+    image = apply_extremal(
+        ExtremalComb(FiniteFunction(d, d, pre), FiniteFunction(c, c, post)), P
+    )
+    assert len(image.items()) > 1
+    ranked = sorted(image.items(), key=lambda item: item[1])
+    (light, _), (heavy, _) = ranked[0], ranked[-1]
+    weights = image.support
+    weights[light] += shift
+    weights[heavy] -= shift
+    Q = FunctionDistribution(d, c, weights)
+    assert Q != image and Q.functions() == image.functions()
+    assert_verdict_matches_the_reference(P, Q)
+    assert_verdict_matches_the_reference(Q, P)
+
+
+def test_four_letter_mixture_of_two_images_is_certified_within_a_minute():
+    # The full-axis reference cannot finish on 4->4 (tens of thousands of
+    # images), so the positive verdict is checked by recombining the
+    # certificate with the reference's own table arithmetic.
+    rng = random.Random(8)
+    pool = list(all_functions(4, 4))
+    P = FunctionDistribution(4, 4, zip(rng.sample(pool, 4), (F(k, 10) for k in range(1, 5))))
+    near, far = (
+        oracles.pushforward(
+            as_dict(P),
+            random_function(rng, 4, 4).outputs,
+            random_function(rng, 4, 4).outputs,
+        )
+        for _ in range(2)
+    )
+    mixed = oracles.mix([(F(1, 3), near), (F(2, 3), far)])
+    Q = tables(4, 4, mixed)
+    start = time.perf_counter()
+    verdict = know_convertible(P, Q)
+    assert time.perf_counter() - start < 60.0
+    assert verdict.convertible
+    assert len(verdict.certificate.items()) > 1
+    parts = [
+        (w, oracles.pushforward(as_dict(P), comb.pre.outputs, comb.post.outputs))
+        for comb, w in verdict.certificate.items()
+    ]
+    assert oracles.mix(parts) == mixed
