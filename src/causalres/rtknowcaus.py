@@ -24,10 +24,10 @@ from .core import (
     FunctionDistribution,
     Rational,
     compose_functions,
-    image_size,
 )
 from .errors import ResourceBudgetExceeded, SizeMismatch
 from .exactlp import convex_weights
+from .rtcaus import is_free_function
 
 DEFAULT_COMB_BUDGET = 10**6
 
@@ -99,7 +99,7 @@ class HasseGraph:
 
 def is_free_resource(P: FunctionDistribution) -> bool:
     """True when every supported function is constant."""
-    return all(image_size(f) == 1 for f in P.functions())
+    return all(is_free_function(f) for f in P.functions())
 
 
 def _check_comb_budget(
@@ -215,23 +215,25 @@ def _image(domain: int, codomain: int, den: int, key: tuple) -> FunctionDistribu
 
 
 def _hull_weights(
-    target: FunctionDistribution, points: Iterable[FunctionDistribution]
-) -> Optional[dict[FunctionDistribution, Rational]]:
-    """Positive weights of points that mix exactly to target, or None.
+    target_key: tuple, point_keys: Iterable[tuple], den: int
+) -> Optional[dict[tuple, Rational]]:
+    """Positive weights of image keys that mix exactly to target_key, or None.
 
-    A mixture of nonnegative points puts weight only where target does, so
-    only points supported inside supp(target) can take part, and the
-    functions of target are the whole axis of the LP.
+    Keys are sorted (output table, numerator) pairs over den; a target with
+    weights off den's grid has non-integer numerators. A mixture of
+    nonnegative points puts weight only where the target does, so callers
+    pass only points supported inside supp(target), and the target's tables
+    are the whole axis of the LP.
     """
-    axis = target.functions()
-    on_axis = set(axis)
-    inside = [p for p in points if on_axis.issuperset(p.functions())]
+    points = list(point_keys)
+    coords = [dict(key) for key in points]
     weights = convex_weights(
-        [[p.weight(f) for f in axis] for p in inside], [target.weight(f) for f in axis]
+        [[Rational(p.get(t, 0), den) for t, _ in target_key] for p in coords],
+        [Rational(n, den) for _, n in target_key],
     )
     if weights is None:
         return None
-    return {p: w for p, w in zip(inside, weights) if w > 0}
+    return {key: w for key, w in zip(points, weights) if w > 0}
 
 
 def know_convertible(
@@ -244,8 +246,9 @@ def know_convertible(
     Q is convertible from P exactly when it lies in the convex hull of the
     images of P under the extremal combs, so after deduplicating images the
     question goes to the feasibility LP over the images supported inside
-    supp(Q), the only ones a mixture equal to Q can use; images are compared
-    as integer-coded keys, and only those LP points are built as objects.
+    supp(Q), the only ones a mixture equal to Q can use; images stay
+    integer-coded keys all the way into the LP, and combs are built as
+    objects only for the certificate.
     One shortcut keeps desk-scale runs fast without changing any verdict: a
     resource reachable by a single comb returns that comb as a point
     certificate without touching the LP (the identity comb answers
@@ -269,17 +272,17 @@ def know_convertible(
     # so the key of Q then equals no image key.
     target = tuple((f.outputs, w * den) for f, w in Q.items())
     on_axis = {f.outputs for f in Q.functions()}
-    reps: dict[FunctionDistribution, ExtremalComb] = {}
+    inside: dict[tuple, tuple] = {}
     for key, pre, post in images:
         if key == target:
             return ConversionVerdict(True, CombMixture.point(comb(pre, post)))
         if on_axis.issuperset(t for t, _ in key):
-            reps[_image(d, c, den, key)] = comb(pre, post)
+            inside[key] = (pre, post)
 
-    weights = _hull_weights(Q, reps)
+    weights = _hull_weights(target, inside, den)
     if weights is None:
         return ConversionVerdict(False, None)
-    certificate = CombMixture({reps[image]: w for image, w in weights.items()})
+    certificate = CombMixture({comb(*inside[key]): w for key, w in weights.items()})
     if apply_mixture(certificate, P) != Q:
         raise AssertionError("feasible LP weights failed to reproduce the target")
     return ConversionVerdict(True, certificate)
@@ -297,15 +300,22 @@ def downward_closure_vertices(
     vertices, never on each other. A mixture equal to c uses only points
     supported inside supp(c), so c lies in the hull of the other candidates
     exactly when it lies in the hull of those among them supported inside
-    supp(c), and that smaller hull is the one tested.
+    supp(c), and that smaller hull is the one tested. Candidates stay
+    integer-coded keys, and only the vertices are built as objects.
     """
     d, c = P.domain_size, P.codomain_size
-    den, keys = _distinct_images(P, d, c, budget)
-    images = [_image(d, c, den, key) for key, _, _ in keys]
+    den, images = _distinct_images(P, d, c, budget)
+    keys = [key for key, _, _ in images]
+    supports = [{t for t, _ in key} for key in keys]
     return [
-        image
-        for i, image in enumerate(images)
-        if _hull_weights(image, images[:i] + images[i + 1 :]) is None
+        _image(d, c, den, key)
+        for i, key in enumerate(keys)
+        if _hull_weights(
+            key,
+            (other for j, other in enumerate(keys) if j != i and supports[j] <= supports[i]),
+            den,
+        )
+        is None
     ]
 
 
@@ -330,8 +340,6 @@ def hasse(
     cache: dict[tuple[FunctionDistribution, FunctionDistribution], bool] = {}
 
     def reaches(a: FunctionDistribution, b: FunctionDistribution) -> bool:
-        if a == b:
-            return True
         key = (a, b)
         if key not in cache:
             cache[key] = know_convertible(a, b, budget=budget).convertible

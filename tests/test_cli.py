@@ -249,6 +249,15 @@ def test_budget_is_checked_before_the_identity_shortcut(capsys):
     assert err == "error: 16 extremal combs exceed the budget of 3\n"
 
 
+def test_hasse_checks_the_budget_on_equal_resources(capsys):
+    # bit1 and incomp_a are the same distribution under two labels, so the
+    # only question hasse asks is a reflexive one.
+    code, out, err = run(capsys, "--budget", "3", "hasse", "bit1", "incomp_a")
+    assert code == 3
+    assert out == ""
+    assert err == "error: 16 extremal combs exceed the budget of 3\n"
+
+
 def test_budget_flag_after_the_subcommand(capsys):
     code, _, _ = run(capsys, "convert", "bit1", "bit2", "--budget", "3")
     assert code == 3

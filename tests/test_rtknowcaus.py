@@ -98,6 +98,12 @@ def test_budget_is_checked_before_the_identity_shortcut():
         downward_closure_vertices(P, budget=1)
 
 
+def test_hasse_checks_the_budget_on_equal_resources():
+    P = BUILTIN["bit4"]
+    with pytest.raises(ResourceBudgetExceeded, match="16 extremal combs exceed the budget of 3"):
+        hasse([("a", P), ("b", P)], budget=3)
+
+
 def test_identity_comb_fixes_everything():
     comb = ExtremalComb(pre=IDENT, post=IDENT)
     assert apply_extremal(comb, BUILTIN["bit4"]) == BUILTIN["bit4"]
@@ -281,6 +287,17 @@ def test_conversion_is_transitive_on_samples():
             checked += 1
 
 
+def test_closure_drops_images_mixed_from_images_of_their_own_support():
+    # 12 of this resource's 46 distinct images are mixtures of other images
+    # only when images with exactly their own support take part, so a hull
+    # test restricted to strictly smaller supports would call them vertices.
+    support = {(1, 1, 0): F(1, 3), (1, 0, 1): F(2, 3)}
+    P = FunctionDistribution(3, 2, {FiniteFunction(3, 2, t): w for t, w in support.items()})
+    vertices = downward_closure_vertices(P)
+    assert len(vertices) == 32
+    assert [as_dict(v) for v in vertices] == oracles.full_axis_closure(support, 3, 2)
+
+
 @pytest.fixture(scope="module")
 def trit_mix_vertices():
     return downward_closure_vertices(BUILTIN["trit_mix"])
@@ -297,6 +314,33 @@ def test_trit_mix_closure_commutes_with_relabelling(trit_mix_vertices, pre, post
     relabelled = downward_closure_vertices(apply_extremal(relabel, BUILTIN["trit_mix"]))
     assert len(trit_mix_vertices) == 57
     assert set(relabelled) == {apply_extremal(relabel, v) for v in trit_mix_vertices}
+
+
+# Two closures with a four-letter alphabet. Each vertex list matched
+# oracles.full_axis_closure in order, but that reference took 175-225 s per
+# resource (Python 3.11, shared 2-vCPU machine), so only the counts are
+# frozen; the relabelled run below is the independent check that stays in
+# the suite.
+FOUR_LETTER_CLOSURES = [
+    pytest.param(
+        3, 4, {(0, 1, 2): F(1, 2), (3, 3, 3): F(1, 2)}, 244, (2, 0, 1), (1, 3, 0, 2), id="3to4"
+    ),
+    pytest.param(
+        4, 3, {(0, 1, 2, 2): F(1, 2), (1, 1, 1, 1): F(1, 2)}, 237, (3, 0, 2, 1), (2, 0, 1), id="4to3"
+    ),
+]
+
+
+@pytest.mark.parametrize("dom,cod,support,count,pre,post", FOUR_LETTER_CLOSURES)
+def test_four_letter_closure_commutes_with_relabelling(dom, cod, support, count, pre, post):
+    P = FunctionDistribution(
+        dom, cod, {FiniteFunction(dom, cod, t): w for t, w in support.items()}
+    )
+    relabel = ExtremalComb(FiniteFunction(dom, dom, pre), FiniteFunction(cod, cod, post))
+    vertices = downward_closure_vertices(P)
+    relabelled = downward_closure_vertices(apply_extremal(relabel, P))
+    assert len(vertices) == count
+    assert set(relabelled) == {apply_extremal(relabel, v) for v in vertices}
 
 
 @st.composite
