@@ -27,6 +27,8 @@ WeightLike = Union[Rational, int, str]
 
 def exact(value: WeightLike) -> Rational:
     """Coerce to Fraction, refusing floats (they already lost exactness)."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float weight {value!r}")
     return Fraction(value)

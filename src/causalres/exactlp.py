@@ -2,19 +2,26 @@
 
 A single question is answered here: does a target vector lie in the convex
 hull of a finite point set, and if so, with which weights? The solver is a
-phase-1 simplex over `fractions.Fraction` using Bland's smallest-index rule
-for both the entering and the leaving choice, which excludes cycling, so
-termination needs no perturbation and the yes/no answer is exact even when
-the target sits on a facet. There is no phase 2; feasibility is the whole
-objective.
+phase-1 simplex using Bland's smallest-index rule for both the entering and
+the leaving choice, which excludes cycling, so termination needs no
+perturbation and the yes/no answer is exact even when the target sits on a
+facet. There is no phase 2; feasibility is the whole objective.
+
+The tableau holds integers over one positive common denominator and pivots
+fraction-free (Edmonds 1967, Bareiss 1968): every entry is a minor of the
+initial integer matrix, so each division by the previous pivot is exact.
+`Fraction` appears only where the inputs are coerced through `core.exact`
+and where the weights are returned, and an integer re-check of the weights
+against the rows guards the arithmetic in between.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .core import ONE, ZERO, Rational
+from .core import Rational, exact
 
 
 def convex_weights(
@@ -23,7 +30,8 @@ def convex_weights(
     """Weights expressing target as a convex combination of points, or None.
 
     The returned list is a basic feasible solution: nonnegative, summing to
-    one, with at most dim+1 nonzero entries.
+    one, with at most dim+1 nonzero entries. Floats are refused with
+    `TypeError`.
     """
     n = len(points)
     if n == 0:
@@ -33,72 +41,89 @@ def convex_weights(
         if len(p) != d:
             raise ValueError("all points must have the dimension of the target")
 
-    # Equality system: one row per coordinate plus the normalization row.
-    rows = [[Fraction(p[i]) for p in points] for i in range(d)]
-    rhs = [Fraction(t) for t in target]
-    rows.append([ONE] * n)
-    rhs.append(ONE)
+    # Equality system: one row per coordinate, its point entries then its
+    # target entry, each row scaled to integers by the lcm of its own
+    # denominators; then the normalization row. A row with a negative
+    # right-hand side is flipped so the artificial start is feasible.
+    rows = []
+    scales = []
+    for i in range(d):
+        row = [exact(p[i]) for p in points]
+        row.append(exact(target[i]))
+        scale = lcm(*[v.denominator for v in row])
+        sign = -1 if row[n] < 0 else 1
+        rows.append([sign * v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    rows.append([1] * (n + 1))
+    scales.append(1)
     m = d + 1
 
-    # Flip rows with negative right-hand sides so the artificial start is
-    # feasible for phase 1.
-    for r in range(m):
-        if rhs[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs[r] = -rhs[r]
-
-    # Tableau: n structural columns, m artificial columns, rhs column.
-    width = n + m + 1
-    tableau = []
-    for r in range(m):
-        row = rows[r] + [ZERO] * m + [rhs[r]]
-        row[n + r] = ONE
-        tableau.append(row)
+    # Cost row for minimizing the artificial total of the unscaled rows,
+    # times the lcm of the scales to stay integral; its last entry holds
+    # minus the current objective value. The artificial columns are never
+    # read again (only structural columns may enter), so the tableau keeps
+    # just the structural and right-hand-side columns.
+    big = lcm(*scales)
+    cost = [0] * (n + 1)
+    for row, scale in zip(rows, scales):
+        mult = big // scale
+        for j, v in enumerate(row):
+            cost[j] -= mult * v
+    tableau = rows + [cost]
     basis = [n + r for r in range(m)]
 
-    # Cost row for minimizing the artificial total, rhs holds minus the
-    # current objective value.
-    cost = [-sum(tableau[r][j] for r in range(m)) for j in range(n)]
-    cost += [ZERO] * m + [-sum(rhs)]
-    tableau.append(cost)
-
+    # The tableau's true entries are its integers over den > 0.
+    den = 1
     while True:
-        # Bland entering rule. Only structural columns are candidates: basic
-        # columns have reduced cost zero and a nonbasic artificial never
-        # needs to re-enter on the way to a zero objective.
-        enter = next((j for j in range(n) if tableau[m][j] < 0), None)
+        # Bland entering rule.
+        enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
 
-        # Bland leaving rule: minimum ratio, ties to the smallest basic index.
+        # Bland leaving rule: minimum ratio rhs/coef, compared cross-multiplied
+        # over positive coefs, ties to the smallest basic index.
         leave = None
-        best: Optional[Fraction] = None
         for r in range(m):
             coef = tableau[r][enter]
             if coef > 0:
-                ratio = tableau[r][width - 1] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]  # type: ignore[index]
+                rhs = tableau[r][n]
+                if leave is None or rhs * best_coef < best_rhs * coef or (
+                    rhs * best_coef == best_rhs * coef and basis[r] < basis[leave]
                 ):
-                    best = ratio
-                    leave = r
+                    leave, best_rhs, best_coef = r, rhs, coef
         if leave is None:
             raise RuntimeError("phase-1 objective cannot be unbounded")
 
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
+        # Bareiss step: the pivot row stays, every other row becomes
+        # (pivot * row - row[enter] * pivot_row) / den, and den becomes the
+        # pivot, which is positive.
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
         for r in range(m + 1):
-            if r != leave and tableau[r][enter] != 0:
+            if r != leave:
                 factor = tableau[r][enter]
-                pivot_row = tableau[leave]
-                tableau[r] = [v - factor * pv for v, pv in zip(tableau[r], pivot_row)]
+                tableau[r] = [
+                    (pivot * v - factor * pv) // den
+                    for v, pv in zip(tableau[r], pivot_row)
+                ]
+        cost = tableau[m]
         basis[leave] = enter
+        den = pivot
 
-    if tableau[m][width - 1] != 0:
+    if cost[n] != 0:
         return None
 
-    weights = [ZERO] * n
+    numerators = [0] * n
     for r in range(m):
         if basis[r] < n:
-            weights[basis[r]] = tableau[r][width - 1]
-    return weights
+            numerators[basis[r]] = tableau[r][n]
+    if (
+        min(numerators) < 0
+        or sum(numerators) != den
+        or any(
+            sum(w * v for w, v in zip(numerators, row)) != den * row[n]
+            for row in rows
+        )
+    ):
+        raise AssertionError("simplex weights fail the integer re-check")
+    return [Fraction(w, den) for w in numerators]

@@ -2,12 +2,12 @@
 
 Functions live here as bare output tuples and distributions as plain dicts,
 so nothing in this file can accidentally share a code path with the library.
-Two exceptions check one layer of the library against another of its own:
-the full-axis hull reference hands its own coordinates to the library's
-exact LP, so it checks which points and rows reach the solver, not the
-solver itself; and the comb-by-comb image reference runs the library's
-`apply_extremal` over `enumerate_extremal_combs`, the object route that the
-integer-coded image kernel replaced.
+One exception checks one layer of the library against another of its own:
+the comb-by-comb image reference runs the library's `apply_extremal` over
+`enumerate_extremal_combs`, the object route that the integer-coded image
+kernel replaced. The full-axis hull reference solves its LPs with
+`fraction_tableau_weights`, a frozen copy of the library's earlier
+`Fraction` simplex, so it shares no code with the solver under test.
 The unit tests import the searchers directly; the frozen constants in the
 test modules were produced by running this file as a script:
 
@@ -178,13 +178,94 @@ def distinct_images(dist: dict, dom: int, cod: int) -> list[dict]:
     return images
 
 
+def fraction_tableau_weights(points, target) -> list | None:
+    """Convex weights of points reaching target by the Fraction simplex, or None.
+
+    A frozen copy of the library's phase-1 simplex as it was before its
+    tableau went fraction-free: every entry a `Fraction`, Bland's rule for
+    entering and leaving, ties to the smallest basic index. The integer
+    solver keeps the same pivot path, so tests require it to return the
+    identical list, and the full-axis hull reference solves with this copy.
+    """
+    n = len(points)
+    if n == 0:
+        return None
+    d = len(target)
+    for p in points:
+        if len(p) != d:
+            raise ValueError("all points must have the dimension of the target")
+
+    # Equality system: one row per coordinate plus the normalization row.
+    rows = [[F(p[i]) for p in points] for i in range(d)]
+    rhs = [F(t) for t in target]
+    rows.append([F(1)] * n)
+    rhs.append(F(1))
+    m = d + 1
+
+    # Flip rows with negative right-hand sides so the artificial start is
+    # feasible for phase 1.
+    for r in range(m):
+        if rhs[r] < 0:
+            rows[r] = [-v for v in rows[r]]
+            rhs[r] = -rhs[r]
+
+    # Tableau: n structural columns, m artificial columns, rhs column.
+    width = n + m + 1
+    tableau = []
+    for r in range(m):
+        row = rows[r] + [F(0)] * m + [rhs[r]]
+        row[n + r] = F(1)
+        tableau.append(row)
+    basis = [n + r for r in range(m)]
+
+    # Cost row for minimizing the artificial total, rhs holds minus the
+    # current objective value.
+    cost = [-sum(tableau[r][j] for r in range(m)) for j in range(n)]
+    cost += [F(0)] * m + [-sum(rhs)]
+    tableau.append(cost)
+
+    while True:
+        enter = next((j for j in range(n) if tableau[m][j] < 0), None)
+        if enter is None:
+            break
+
+        leave = None
+        best = None
+        for r in range(m):
+            coef = tableau[r][enter]
+            if coef > 0:
+                ratio = tableau[r][width - 1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            raise RuntimeError("phase-1 objective cannot be unbounded")
+
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for r in range(m + 1):
+            if r != leave and tableau[r][enter] != 0:
+                factor = tableau[r][enter]
+                pivot_row = tableau[leave]
+                tableau[r] = [v - factor * pv for v, pv in zip(tableau[r], pivot_row)]
+        basis[leave] = enter
+
+    if tableau[m][width - 1] != 0:
+        return None
+
+    weights = [F(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            weights[basis[r]] = tableau[r][width - 1]
+    return weights
+
+
 def full_axis_weights(points: list[dict], target: dict, axis: list) -> list | None:
     """Convex weights of points reaching target, over one global axis of tables."""
-    # Imported here so that running this file as a script needs no package.
-    from causalres.exactlp import convex_weights
-
     coords = [[p.get(t, F(0)) for t in axis] for p in points]
-    return convex_weights(coords, [target.get(t, F(0)) for t in axis])
+    return fraction_tableau_weights(coords, [target.get(t, F(0)) for t in axis])
 
 
 def full_axis_convertible(src: dict, dst: dict, dom: int, cod: int) -> bool:
