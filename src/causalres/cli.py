@@ -22,7 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .beta_spectrum import beta_vector, cumulative_monotones
 from .bit2bit import monotone_triple
@@ -53,14 +53,16 @@ from .rtknowcaus import (
     know_convertible,
 )
 
+Resources = list[tuple[str, FunctionDistribution]]
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def parse_resource_file(text: str) -> list[tuple[str, FunctionDistribution]]:
+def parse_resource_file(text: str) -> Resources:
     """Parse the line-delimited resource format, reporting positions on error."""
-    resources: list[tuple[str, FunctionDistribution]] = []
+    resources: Resources = []
     names: set[str] = set()
     current: Optional[dict] = None
 
@@ -148,10 +150,7 @@ def serialize_resources(resources: Sequence[tuple[str, FunctionDistribution]]) -
                 sort_keys=True,
             )
         )
-        for f, w in dist.items():
-            lines.append(
-                json.dumps({"map": list(f.outputs), "prob": str(w)}, sort_keys=True)
-            )
+        lines.extend(json.dumps(entry, sort_keys=True) for entry in _support_json(dist))
     return "\n".join(lines) + "\n"
 
 
@@ -166,9 +165,9 @@ def _mixture_json(mixture: CombMixture) -> list[dict]:
     ]
 
 
-def _resolve(tokens: Sequence[str]) -> list[tuple[str, FunctionDistribution]]:
+def _resolve(tokens: Sequence[str]) -> Resources:
     """Each token is a builtin name, a file path, or '-' for standard input."""
-    out: list[tuple[str, FunctionDistribution]] = []
+    out: Resources = []
     for token in tokens:
         if token == "-":
             out.extend(parse_resource_file(sys.stdin.read()))
@@ -185,8 +184,8 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _cmd_monotones(args: argparse.Namespace) -> int:
-    for name, dist in _resolve(args.resources):
+def _cmd_monotones(args: argparse.Namespace, resources: Resources) -> None:
+    for name, dist in resources:
         report: dict = {
             "name": name,
             "beta_spectrum": [str(w) for w in beta_vector(dist).weights],
@@ -200,11 +199,9 @@ def _cmd_monotones(args: argparse.Namespace) -> int:
             )
             report["m_gamma_beta"] = str(triple.m_gamma_beta)
         _emit(report)
-    return EXIT_OK
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    resources = _resolve(args.resources)
+def _cmd_convert(args: argparse.Namespace, resources: Resources) -> None:
     if len(resources) != 2:
         raise ValueError(f"convert needs exactly 2 resources, got {len(resources)}")
     (name_a, dist_a), (name_b, dist_b) = resources
@@ -222,11 +219,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             ),
         }
         _emit(report)
-    return EXIT_OK
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
-    for name, dist in _resolve(args.resources):
+def _cmd_closure(args: argparse.Namespace, resources: Resources) -> None:
+    for name, dist in resources:
         vertices = downward_closure_vertices(dist, budget=args.budget)
         _emit(
             {
@@ -235,7 +231,6 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                 "vertices": [_support_json(v) for v in vertices],
             }
         )
-    return EXIT_OK
 
 
 def _dot(graph) -> str:
@@ -253,8 +248,7 @@ def _dot(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_hasse(args: argparse.Namespace) -> int:
-    resources = _resolve(args.resources)
+def _cmd_hasse(args: argparse.Namespace, resources: Resources) -> None:
     graph = hasse(resources, budget=args.budget)
     if args.format == "report":
         _emit(
@@ -265,7 +259,6 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
         )
     else:
         sys.stdout.write(_dot(graph))
-    return EXIT_OK
 
 
 def _parse_prior(text: str, size: int) -> Optional[Prior]:
@@ -281,8 +274,8 @@ def _parse_prior(text: str, size: int) -> Optional[Prior]:
     return Prior(weights=weights)
 
 
-def _cmd_game(args: argparse.Namespace) -> int:
-    for name, dist in _resolve(args.resources):
+def _cmd_game(args: argparse.Namespace, resources: Resources) -> None:
+    for name, dist in resources:
         prior = _parse_prior(args.prior, dist.domain_size)
         report: dict = {
             "name": name,
@@ -300,11 +293,10 @@ def _cmd_game(args: argparse.Namespace) -> int:
             report["posterior_connection"] = posteriors
             report["max_postselected"] = str(max_postselected_connection(dist))
         _emit(report)
-    return EXIT_OK
 
 
-def _cmd_ace(args: argparse.Namespace) -> int:
-    for name, dist in _resolve(args.resources):
+def _cmd_ace(args: argparse.Namespace, resources: Resources) -> None:
+    for name, dist in resources:
         channel = to_stochastic(dist)
         bound, witness = min_beta_over_preimage(channel)
         _emit(
@@ -316,7 +308,6 @@ def _cmd_ace(args: argparse.Namespace) -> int:
                 "min_beta_witness": _support_json(witness),
             }
         )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,11 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, nargs: str = "+") -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument(
             "resources",
-            nargs=nargs,
+            nargs="+",
             help="built-in resource names, file paths, or - for stdin",
         )
         # SUPPRESS keeps a pre-subcommand --budget from being clobbered by
@@ -344,48 +336,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=argparse.SUPPRESS)
         return p
 
-    add("monotones", "spectrum, tail sums and (for bits) the monotone triple")
-    add("convert", "decide convertibility in both directions", nargs="+")
-    add("closure", "vertices of the downward-closure polytope")
-    hasse_p = add("hasse", "equivalence classes and cover edges")
+    add(
+        "monotones",
+        "spectrum, tail sums and (for bits) the monotone triple",
+        _cmd_monotones,
+    )
+    add("convert", "decide convertibility in both directions", _cmd_convert)
+    add("closure", "vertices of the downward-closure polytope", _cmd_closure)
+    hasse_p = add("hasse", "equivalence classes and cover edges", _cmd_hasse)
     hasse_p.add_argument(
         "--format",
         choices=("dot", "report"),
         default="dot",
         help="DOT graph (default) or a JSON report",
     )
-    game_p = add("game", "guessing probability and postselected posteriors")
+    game_p = add("game", "guessing probability and postselected posteriors", _cmd_game)
     game_p.add_argument(
         "--prior",
         default="uniform",
         help='guessing prior: "uniform" or comma-separated fractions '
         "(posterior columns always use the uniform prior)",
     )
-    add("ace", "average causal effect and the least-connection witness")
+    add("ace", "average causal effect and the least-connection witness", _cmd_ace)
     return parser
 
 
-_COMMANDS = {
-    "monotones": _cmd_monotones,
-    "convert": _cmd_convert,
-    "closure": _cmd_closure,
-    "hasse": _cmd_hasse,
-    "game": _cmd_game,
-    "ace": _cmd_ace,
-}
+PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Every resource is resolved before a handler parses anything of its
+        # own (such as --prior), so a bad resource is the error reported first.
+        args.run(args, _resolve(args.resources))
     except ResourceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

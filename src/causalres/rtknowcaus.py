@@ -215,21 +215,26 @@ def _image(domain: int, codomain: int, den: int, key: tuple) -> FunctionDistribu
 
 
 def _hull_weights(
-    target_key: tuple, point_keys: Iterable[tuple], den: int
+    target_key: tuple, point_keys: Iterable[tuple]
 ) -> Optional[dict[tuple, Rational]]:
     """Positive weights of image keys that mix exactly to target_key, or None.
 
-    Keys are sorted (output table, numerator) pairs over den; a target with
-    weights off den's grid has non-integer numerators. A mixture of
-    nonnegative points puts weight only where the target does, so callers
-    pass only points supported inside supp(target), and the target's tables
-    are the whole axis of the LP.
+    Keys are sorted (output table, numerator) pairs over the images' common
+    denominator den; a target with weights off den's grid has non-integer
+    numerators. A mixture of nonnegative points puts weight only where the
+    target does, so callers pass only points supported inside supp(target),
+    and the target's tables are the whole axis of the LP.
     """
     points = list(point_keys)
     coords = [dict(key) for key in points]
+    # The numerators go in without dividing by den. This needs every point
+    # supported inside the target's tables: its numerators then sum to den,
+    # as do the target's, so the coordinate rows sum to den times the
+    # normalization row, the phase-1 costs are a positive multiple of those
+    # over den, and the pivots and weights are the same.
     weights = convex_weights(
-        [[Rational(p.get(t, 0), den) for t, _ in target_key] for p in coords],
-        [Rational(n, den) for _, n in target_key],
+        [[p.get(t, 0) for t, _ in target_key] for p in coords],
+        [n for _, n in target_key],
     )
     if weights is None:
         return None
@@ -279,7 +284,7 @@ def know_convertible(
         if on_axis.issuperset(t for t, _ in key):
             inside[key] = (pre, post)
 
-    weights = _hull_weights(target, inside, den)
+    weights = _hull_weights(target, inside)
     if weights is None:
         return ConversionVerdict(False, None)
     certificate = CombMixture({comb(*inside[key]): w for key, w in weights.items()})
@@ -313,7 +318,6 @@ def downward_closure_vertices(
         if _hull_weights(
             key,
             (other for j, other in enumerate(keys) if j != i and supports[j] <= supports[i]),
-            den,
         )
         is None
     ]

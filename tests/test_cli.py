@@ -263,6 +263,25 @@ def test_budget_flag_after_the_subcommand(capsys):
     assert code == 3
 
 
+def test_one_process_carries_no_state_between_calls(capsys):
+    # The parser is built once per process; nothing one call parses may
+    # leak into the next.
+    code, _, _ = run(capsys, "--budget", "3", "convert", "bit1", "bit2")
+    assert code == 3
+    code, out, err = run(capsys, "convert", "bit1", "bit2")
+    assert code == 0 and err == "" and len(out.splitlines()) == 2
+    code, _, _ = run(capsys, "convert", "bit1", "bit2", "--budget", "3")
+    assert code == 3
+    with pytest.raises(SystemExit) as exit_:
+        main(["convert"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "hasse", "--format", "report", "bit1", "bit3")
+    assert code == 0 and json.loads(out)["edges"] == [[1, 0]]
+    code, out, _ = run(capsys, "hasse", "bit1", "bit3")
+    assert code == 0 and out.startswith("digraph hasse {")
+
+
 def test_reports_are_byte_deterministic(capsys):
     _, first, _ = run(capsys, "hasse", "bit4", "bit5", "bit2")
     _, second, _ = run(capsys, "hasse", "bit4", "bit5", "bit2")

@@ -4,10 +4,15 @@
 followed by what that command printed. Any change to a verdict, a
 certificate, a vertex list or the formatting of a fraction shows up here as
 a byte difference, where the determinism test only sees two runs agree.
+Each block is checked twice: through `main` in this process, which shares
+one parser between calls, and through `python -m causalres` in a fresh one.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,19 @@ def test_stdout_matches_the_transcript(capsys, command):
     expected = transcript_blocks(GOLDEN.read_text(encoding="utf-8"))[command]
     assert main(command.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[:40])
+def test_a_fresh_process_prints_the_transcript(command):
+    expected = transcript_blocks(GOLDEN.read_text(encoding="utf-8"))[command]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "causalres", *command.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -33,6 +33,7 @@ from causalres import (
     is_free_resource,
     know_convertible,
 )
+from causalres.exactlp import convex_weights
 from causalres.rtknowcaus import _distinct_images, _image
 from strategies import (
     bit_distributions,
@@ -382,6 +383,45 @@ def test_verdicts_match_the_full_axis_reference(dom, cod, examples):
             assert verdict.convertible == oracles.full_axis_convertible(
                 as_dict(src), as_dict(dst), dom, cod
             )
+
+    check()
+
+
+def assert_integer_rows_give_the_same_weights(target_key, point_keys, den):
+    """The hull LP on raw numerators against the same LP with rows over den."""
+    points = [[dict(key).get(t, 0) for t, _ in target_key] for key in point_keys]
+    target = [n for _, n in target_key]
+    assert convex_weights(points, target) == convex_weights(
+        [[F(v, den) for v in point] for point in points], [F(n, den) for n in target]
+    )
+
+
+@pytest.mark.parametrize(
+    "dom,cod,examples", [(2, 2, 25), (2, 3, 10), (3, 2, 10), (3, 3, 3)]
+)
+def test_hull_lps_pivot_alike_on_numerators_and_on_fractions(dom, cod, examples):
+    # Every point and the target have numerators summing to den, so scaling
+    # the coordinate rows by 1/den changes no pivot. Targets mixed from
+    # images lie on den's grid; the reverse questions and the free targets
+    # mostly do not.
+    @settings(max_examples=examples, deadline=None)
+    @given(hull_questions(dom, cod))
+    def check(question):
+        for src, dst in (question, question[::-1]):
+            den, images = _distinct_images(src, dom, cod, DEFAULT_COMB_BUDGET)
+            keys = [key for key, _, _ in images]
+            target = tuple((f.outputs, w * den) for f, w in dst.items())
+            axis = {t for t, _ in target}
+            inside = [key for key in keys if axis.issuperset(t for t, _ in key)]
+            assert_integer_rows_give_the_same_weights(target, inside, den)
+            for key in keys:
+                support = {t for t, _ in key}
+                others = [
+                    other
+                    for other in keys
+                    if other != key and support.issuperset(t for t, _ in other)
+                ]
+                assert_integer_rows_give_the_same_weights(key, others, den)
 
     check()
 
