@@ -12,7 +12,8 @@ Resource file format, one JSON object per line:
     {"map": [0, 0], "prob": "2/3"}
 
 A header line opens a resource; the following entry lines list its support.
-Probabilities must be strings (exactness does not survive JSON numbers).
+Probabilities must be strings (exactness does not survive JSON numbers):
+an integer, a/b or a decimal, with no exponent.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ Resources = list[tuple[str, FunctionDistribution]]
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+
+def _fraction(text: str) -> Fraction:
+    """An integer, a/b or a decimal. An exponent is refused: `Fraction`
+    expands "1e-10000000" into a ten-million-digit integer."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in {text!r}")
+    return Fraction(text)
 
 
 def parse_resource_file(text: str) -> Resources:
@@ -127,7 +136,7 @@ def parse_resource_file(text: str) -> Resources:
             if not isinstance(prob, str):
                 raise MalformedWeight(f"{where}: prob must be a fraction string")
             try:
-                weight = Fraction(prob)
+                weight = _fraction(prob)
             except (ValueError, ZeroDivisionError):
                 raise MalformedWeight(f"{where}: cannot parse fraction {prob!r}") from None
             if weight < 0:
@@ -268,7 +277,7 @@ def _parse_prior(text: str, size: int) -> Optional[Prior]:
     if len(parts) != size:
         raise ValueError(f"prior lists {len(parts)} weights for {size} inputs")
     try:
-        weights = tuple(Fraction(p) for p in parts)
+        weights = tuple(_fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse prior {text!r}") from None
     return Prior(weights=weights)

@@ -246,11 +246,11 @@ class StochasticMap:
 def compose_distributions(
     outer: FunctionDistribution, inner: FunctionDistribution
 ) -> FunctionDistribution:
-    """Distribution of (outer sample) after (inner sample), drawn independently."""
-    if inner.codomain_size != outer.domain_size:
-        raise SizeMismatch(
-            f"cannot chain codomain {inner.codomain_size} into domain {outer.domain_size}"
-        )
+    """Distribution of (outer sample) after (inner sample), drawn independently.
+
+    Mismatched sizes raise `SizeMismatch` from `compose_functions` on the
+    first pair.
+    """
     acc: dict[FiniteFunction, Rational] = {}
     for f, wf in outer.items():
         for g, wg in inner.items():

@@ -7,7 +7,9 @@ the leaving choice, which excludes cycling, so termination needs no
 perturbation and the yes/no answer is exact even when the target sits on a
 facet. There is no phase 2; feasibility is the whole objective.
 
-The tableau holds integers over one positive common denominator and pivots
+The equality system is scaled to integers by one factor, the lcm of every
+denominator in it, so the cost row is just minus its column sums. The
+tableau holds integers over one positive common denominator and pivots
 fraction-free (Edmonds 1967, Bareiss 1968): every entry is a minor of the
 initial integer matrix, so each division by the previous pivot is exact.
 `Fraction` appears only where the inputs are coerced through `core.exact`
@@ -37,38 +39,27 @@ def convex_weights(
     if n == 0:
         return None
     d = len(target)
-    for p in points:
-        if len(p) != d:
-            raise ValueError("all points must have the dimension of the target")
+    if any(len(p) != d for p in points):
+        raise ValueError("all points must have the dimension of the target")
 
     # Equality system: one row per coordinate, its point entries then its
-    # target entry, each row scaled to integers by the lcm of its own
-    # denominators; then the normalization row. A row with a negative
-    # right-hand side is flipped so the artificial start is feasible.
-    rows = []
-    scales = []
-    for i in range(d):
-        row = [exact(p[i]) for p in points]
-        row.append(exact(target[i]))
-        scale = lcm(*[v.denominator for v in row])
+    # target entry, and the normalization row, all scaled to integers by one
+    # factor, the lcm of every denominator in the system. A row with a
+    # negative right-hand side is flipped so the artificial start is feasible.
+    rows = [[exact(p[i]) for p in points] + [exact(target[i])] for i in range(d)]
+    scale = lcm(*[v.denominator for row in rows for v in row])
+    for r, row in enumerate(rows):
         sign = -1 if row[n] < 0 else 1
-        rows.append([sign * v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
-    rows.append([1] * (n + 1))
-    scales.append(1)
+        rows[r] = [sign * v.numerator * (scale // v.denominator) for v in row]
+    rows.append([scale] * (n + 1))
     m = d + 1
 
-    # Cost row for minimizing the artificial total of the unscaled rows,
-    # times the lcm of the scales to stay integral; its last entry holds
-    # minus the current objective value. The artificial columns are never
-    # read again (only structural columns may enter), so the tableau keeps
-    # just the structural and right-hand-side columns.
-    big = lcm(*scales)
-    cost = [0] * (n + 1)
-    for row, scale in zip(rows, scales):
-        mult = big // scale
-        for j, v in enumerate(row):
-            cost[j] -= mult * v
+    # Cost row for minimizing the artificial total: minus the column sums of
+    # the rows, which is scale times the phase-1 objective. Its last entry
+    # holds minus the current objective value. The artificial columns are
+    # never read again (only structural columns may enter), so the tableau
+    # keeps just the structural and right-hand-side columns.
+    cost = [-sum(c) for c in zip(*rows)]
     tableau = rows + [cost]
     basis = [n + r for r in range(m)]
 

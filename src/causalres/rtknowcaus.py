@@ -11,6 +11,7 @@ over labeled resources all run on the exact LP in `exactlp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -341,13 +342,9 @@ def hasse(
     if len(sizes) > 1:
         raise SizeMismatch(f"resources span several signatures: {sorted(sizes)}")
 
-    cache: dict[tuple[FunctionDistribution, FunctionDistribution], bool] = {}
-
+    @cache
     def reaches(a: FunctionDistribution, b: FunctionDistribution) -> bool:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = know_convertible(a, b, budget=budget).convertible
-        return cache[key]
+        return know_convertible(a, b, budget=budget).convertible
 
     class_members: list[list[int]] = []
     class_rep: list[FunctionDistribution] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,34 @@ def test_parse_rejects_unparseable_fractions():
     with pytest.raises(MalformedWeight) as err:
         parse_resource_file(text)
     assert "line 2" in str(err.value)
+
+
+def test_parse_rejects_negative_probabilities():
+    text = BIT4_TEXT.replace('"2/3"', '"-2/3"')
+    with pytest.raises(MalformedWeight) as err:
+        parse_resource_file(text)
+    assert "line 3" in str(err.value)
+    assert "negative" in str(err.value)
+
+
+def test_parse_refuses_an_exponent_at_once():
+    # Fraction("1e-10000000") would first build a ten-million-digit integer.
+    text = BIT4_TEXT.replace('"1/3"', '"1e-10000000"')
+    start = time.perf_counter()
+    with pytest.raises(MalformedWeight) as err:
+        parse_resource_file(text)
+    assert time.perf_counter() - start < 1
+    assert "line 2" in str(err.value)
+
+
+def test_parse_accepts_integers_fractions_and_decimals():
+    text = BIT4_TEXT.replace('"1/3"', '"0.25"').replace('"2/3"', '"3/4"')
+    [(_, dist)] = parse_resource_file(text)
+    assert sorted(w for _, w in dist.items()) == [F(1, 4), F(3, 4)]
+    [(_, dist)] = parse_resource_file(
+        '{"name": "one", "domain": 2, "codomain": 2}\n{"map": [0, 1], "prob": "1"}\n'
+    )
+    assert [w for _, w in dist.items()] == [1]
 
 
 def test_parse_rejects_duplicate_names():
@@ -184,6 +213,26 @@ def test_game_with_a_skewed_prior(capsys):
     report = json.loads(out)
     assert report["guessing_probability"] == "9/10"
     assert report["posterior_connection"] == {"0": "0", "1": "0"}
+
+
+@pytest.mark.parametrize(
+    "prior",
+    ["1/2", "1/3,1/3,1/3", "half,half", "3/2,-1/2", "1/2,1/4", "1/2,1/0"],
+)
+def test_game_rejects_a_bad_prior(capsys, prior):
+    code, out, err = run(capsys, "game", "--prior", prior, "bit1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_game_refuses_a_prior_exponent_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "game", "--prior", "1e-10000000,1", "bit1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse prior '1e-10000000,1'\n"
 
 
 def test_game_reports_unreachable_outputs_as_null(monkeypatch, capsys):

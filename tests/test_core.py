@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from causalres import (
+    BUILTIN,
     FLIP,
     IDENT,
     RESET0,
@@ -168,6 +169,11 @@ def test_constant_outer_absorbs_distributions():
     P = bits(F(1, 3), 0, F(1, 3), F(1, 3))
     top = FunctionDistribution.point(RESET1)
     assert compose_distributions(top, P) == FunctionDistribution.point(RESET1)
+
+
+def test_composition_refuses_mismatched_sizes():
+    with pytest.raises(SizeMismatch, match="^cannot chain codomain 3 into domain 2$"):
+        compose_distributions(BUILTIN["bit1"], BUILTIN["trit_mix"])
 
 
 @given(distributions(2, 2), distributions(2, 2))

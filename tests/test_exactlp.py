@@ -139,10 +139,11 @@ def hull_questions(draw):
 
 
 # Each fixed example takes another pivot path, and returns other weights,
-# when one choice departs from the reference: a cost row summed from the
-# scaled rows (one coordinate row scaled by 42), ratio ties going to the
-# last row, and ratio ties going to the first row instead of the smallest
-# basic index.
+# when one choice departs from the reference: coordinate rows and the cost
+# row weighted unlike the unscaled system (the first two examples catch a
+# normalization row left at 1 while the coordinate rows are scaled by 42),
+# ratio ties going to the last row, and ratio ties going to the first row
+# instead of the smallest basic index.
 @example((
     [(F(-1),), (F(-1, 3),), (F(-1, 2),), (F(2),)],
     (F(11, 42),),
