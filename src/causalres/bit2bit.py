@@ -156,8 +156,6 @@ def bit_convertible_fast(P: FunctionDistribution, Q: FunctionDistribution) -> bo
     free targets. Otherwise all three monotones are defined on both sides
     and must not increase.
     """
-    _require_bits(P)
-    _require_bits(Q)
     src = monotone_triple(P)
     dst = monotone_triple(Q)
     if dst.m_beta == ZERO:

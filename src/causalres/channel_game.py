@@ -19,11 +19,11 @@ from .core import (
     Rational,
     StochasticMap,
     canonical_preimage,
-    image_size,
     probability_vector,
     to_stochastic,
 )
 from .errors import SizeMismatch, ZeroMarginal
+from .rtcaus import is_free_function
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def posterior_causal_connection(
             (prior.weights[x] for x in range(2) if f(x) == y), start=ZERO
         )
         marginal += w * hit
-        if image_size(f) > 1:
+        if not is_free_function(f):
             connected += w * hit
     if marginal == ZERO:
         raise ZeroMarginal(f"output {y} has zero marginal under this prior")
@@ -104,7 +104,6 @@ def max_postselected_connection(P: FunctionDistribution) -> Rational:
     Uses the uniform prior. Outputs that cannot occur are skipped rather
     than treated as vacuous certainty.
     """
-    _require_bits(P)
     best = ZERO
     for y in (0, 1):
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import SizeMismatch
@@ -251,12 +252,15 @@ def compose_distributions(
     Mismatched sizes raise `SizeMismatch` from `compose_functions` on the
     first pair.
     """
-    acc: dict[FiniteFunction, Rational] = {}
-    for f, wf in outer.items():
-        for g, wg in inner.items():
-            h = compose_functions(f, g)
-            acc[h] = acc.get(h, ZERO) + wf * wg
-    return FunctionDistribution(inner.domain_size, outer.codomain_size, acc)
+    return FunctionDistribution(
+        inner.domain_size,
+        outer.codomain_size,
+        (
+            (compose_functions(f, g), wf * wg)
+            for f, wf in outer.items()
+            for g, wg in inner.items()
+        ),
+    )
 
 
 def to_stochastic(P: FunctionDistribution) -> StochasticMap:
@@ -276,15 +280,21 @@ def canonical_preimage(S: StochasticMap) -> FunctionDistribution:
     Outputs are drawn independently per input column, so the weight of f is
     the product of S(f(x)|x) over x. This is a section of `to_stochastic`:
     the round trip reproduces S exactly, which also shows every stochastic
-    map arises from some distribution over functions.
+    map arises from some distribution over functions. Only tables whose
+    every entry has positive weight are formed, so no zero weight arises.
     """
-    acc: dict[FiniteFunction, Rational] = {}
-    for f in all_functions(S.input_size, S.output_size):
-        w = ONE
-        for x in range(S.input_size):
-            w *= S.entries[f(x)][x]
-            if w == ZERO:
-                break
-        if w > 0:
-            acc[f] = w
-    return FunctionDistribution(S.input_size, S.output_size, acc)
+    columns = [
+        [(y, S.entries[y][x]) for y in range(S.output_size) if S.entries[y][x]]
+        for x in range(S.input_size)
+    ]
+    return FunctionDistribution(
+        S.input_size,
+        S.output_size,
+        (
+            (
+                FiniteFunction(S.input_size, S.output_size, tuple(y for y, _ in picks)),
+                prod(w for _, w in picks),
+            )
+            for picks in product(*columns)
+        ),
+    )

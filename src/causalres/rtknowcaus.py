@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ONE,
-    ZERO,
     ExactDistribution,
     ExtremalComb,
     FiniteFunction,
@@ -112,9 +111,14 @@ def _check_comb_budget(
             raise ValueError("alphabet sizes must be positive")
     count = src_domain**tgt_domain * tgt_codomain**src_codomain
     if count > budget:
-        raise ResourceBudgetExceeded(
-            f"{count} extremal combs exceed the budget of {budget}"
+        # Python refuses to print an int past its digit limit (640 digits at
+        # the least), so a count too long for that is named by its signature.
+        shown = (
+            count
+            if count.bit_length() <= 1024
+            else f"{src_domain}^{tgt_domain} * {tgt_codomain}^{src_codomain}"
         )
+        raise ResourceBudgetExceeded(f"{shown} extremal combs exceed the budget of {budget}")
 
 
 def enumerate_extremal_combs(
@@ -150,21 +154,24 @@ def apply_extremal(comb: ExtremalComb, P: FunctionDistribution) -> FunctionDistr
             f"comb expects a {comb.pre.codomain_size}->{comb.post.domain_size} resource, "
             f"got {P.domain_size}->{P.codomain_size}"
         )
-    acc: dict[FiniteFunction, Rational] = {}
-    for f, w in P.items():
-        h = compose_functions(comb.post, compose_functions(f, comb.pre))
-        acc[h] = acc.get(h, ZERO) + w
-    return FunctionDistribution(comb.pre.domain_size, comb.post.codomain_size, acc)
+    return FunctionDistribution(
+        comb.pre.domain_size,
+        comb.post.codomain_size,
+        (
+            (compose_functions(comb.post, compose_functions(f, comb.pre)), w)
+            for f, w in P.items()
+        ),
+    )
 
 
 def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistribution:
     """Weighted pushforward; convexity of the weights keeps it normalized."""
-    acc: dict[FiniteFunction, Rational] = {}
-    for comb, w in m.items():
-        for f, p in apply_extremal(comb, P).items():
-            acc[f] = acc.get(f, ZERO) + w * p
     first = m.items()[0][0]
-    return FunctionDistribution(first.pre.domain_size, first.post.codomain_size, acc)
+    return FunctionDistribution(
+        first.pre.domain_size,
+        first.post.codomain_size,
+        ((f, w * p) for comb, w in m.items() for f, p in apply_extremal(comb, P).items()),
+    )
 
 
 def _distinct_images(

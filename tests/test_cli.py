@@ -42,6 +42,12 @@ def test_parse_a_single_resource():
     assert dist == BUILTIN["bit4"]
 
 
+def test_parse_adds_the_weights_of_a_repeated_map():
+    text = BIT4_TEXT.replace('"1/3"', '"1/6"') + '{"map": [1, 0], "prob": "1/6"}\n'
+    [(_, dist)] = parse_resource_file(text)
+    assert dist == BUILTIN["bit4"]
+
+
 def test_parse_rejects_short_weights():
     text = BIT4_TEXT.replace('"2/3"', '"1/2"')
     with pytest.raises(NonNormalized) as err:
@@ -288,6 +294,16 @@ def test_parse_errors_exit_with_two(tmp_path, capsys):
 def test_budget_exhaustion_exits_with_three(capsys):
     code, _, err = run(capsys, "--budget", "3", "convert", "bit1", "bit2")
     assert code == 3
+    assert "budget" in err
+
+
+def test_a_comb_count_too_long_to_print_exits_with_three(monkeypatch, capsys):
+    header = json.dumps({"name": "wide", "domain": 1500, "codomain": 2})
+    entry = json.dumps({"map": [0, 1] * 750, "prob": "1"})
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n{entry}\n"))
+    code, out, err = run(capsys, "closure", "-")
+    assert code == 3
+    assert out == ""
     assert "budget" in err
 
 

@@ -23,10 +23,13 @@ from causalres import (
     FunctionDistribution,
     ResourceBudgetExceeded,
     SizeMismatch,
+    StochasticMap,
     all_functions,
     apply_extremal,
     apply_mixture,
     bit_resource,
+    canonical_preimage,
+    compose_distributions,
     downward_closure_vertices,
     enumerate_extremal_combs,
     hasse,
@@ -105,6 +108,17 @@ def test_hasse_checks_the_budget_on_equal_resources():
         hasse([("a", P), ("b", P)], budget=3)
 
 
+def test_a_count_too_long_to_print_is_named_by_its_signature():
+    P = FunctionDistribution.point(FiniteFunction(1500, 2, (0, 1) * 750))
+    message = r"1500\^1500 \* 2\^2 extremal combs exceed the budget of 1000000$"
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        enumerate_extremal_combs(1500, 2, 1500, 2)
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        downward_closure_vertices(P)
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        hasse([("a", P), ("b", P)])
+
+
 def test_identity_comb_fixes_everything():
     comb = ExtremalComb(pre=IDENT, post=IDENT)
     assert apply_extremal(comb, BUILTIN["bit4"]) == BUILTIN["bit4"]
@@ -149,6 +163,81 @@ def test_worked_mixture_reaches_bit8():
         }
     )
     assert apply_mixture(mixture, BUILTIN["bit7"]) == BUILTIN["bit8"]
+
+
+# Every exact weight is added up by the distribution type. The table-level
+# oracles add them up on their own, so these compare the two on inputs where
+# several supported functions land on one table.
+
+FOLD_SIGNATURES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def assert_no_zero_weight(P: FunctionDistribution) -> None:
+    assert all(w > 0 for _, w in P.items())
+
+
+@pytest.mark.parametrize("dom,cod", FOLD_SIGNATURES)
+def test_pushforwards_match_the_table_oracles(dom, cod):
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def check(data):
+        P = data.draw(distributions(dom, cod, max_support=5))
+        tgt_dom, tgt_cod = data.draw(st.sampled_from(FOLD_SIGNATURES))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(oracles.all_tables(tgt_dom, dom)),
+                    st.sampled_from(oracles.all_tables(cod, tgt_cod)),
+                    st.integers(1, 6),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        # A constant post sends the whole support of P to one table.
+        pairs.append((pairs[0][0], (0,) * cod, 1))
+        total = sum(n for _, _, n in pairs)
+        parts = []
+        support = []
+        for pre, post, n in pairs:
+            comb = ExtremalComb(
+                FiniteFunction(tgt_dom, dom, pre), FiniteFunction(cod, tgt_cod, post)
+            )
+            image = apply_extremal(comb, P)
+            expected = oracles.pushforward(as_dict(P), pre, post)
+            assert_no_zero_weight(image)
+            assert as_dict(image) == expected
+            parts.append((F(n, total), expected))
+            support.append((comb, F(n, total)))
+        mixed = apply_mixture(CombMixture(support), P)
+        assert_no_zero_weight(mixed)
+        assert as_dict(mixed) == oracles.mix(parts)
+
+    check()
+
+
+@pytest.mark.parametrize("dom,cod", FOLD_SIGNATURES)
+def test_composition_and_section_match_the_table_oracles(dom, cod):
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def check(data):
+        inner = data.draw(distributions(dom, cod, max_support=5))
+        outer = data.draw(distributions(cod, data.draw(st.integers(1, 3)), max_support=5))
+        composed = compose_distributions(outer, inner)
+        assert_no_zero_weight(composed)
+        assert as_dict(composed) == oracles.mix(
+            [
+                (wf * wg, {oracles.compose(f.outputs, g.outputs): F(1)})
+                for f, wf in outer.items()
+                for g, wg in inner.items()
+            ]
+        )
+        rows = oracles.channel(as_dict(inner), dom, cod)
+        section = canonical_preimage(StochasticMap(dom, cod, rows))
+        assert_no_zero_weight(section)
+        assert as_dict(section) == oracles.product_preimage(rows)
+
+    check()
 
 
 def test_coin_converts_to_shared_resets():
