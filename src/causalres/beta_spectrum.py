@@ -10,6 +10,7 @@ dominance is the whole convertibility story.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import ZERO, FunctionDistribution, Rational, image_size, probability_vector
 from .errors import SizeMismatch
@@ -51,11 +52,10 @@ def cumulative_monotones(P: FunctionDistribution) -> tuple[Rational, ...]:
     """Tail sums of the spectrum, largest image size first.
 
     The first entry is the chance of drawing a function of maximal image
-    size, the last is always 1.
+    size, the last is always 1. One running sum over the reversed spectrum
+    gives every tail.
     """
-    spectrum = beta_vector(P)
-    n = P.codomain_size
-    return tuple(spectrum.cumulative(k) for k in range(n, 0, -1))
+    return tuple(accumulate(reversed(beta_vector(P).weights)))
 
 
 def alt_convertible(P: FunctionDistribution, Q: FunctionDistribution) -> bool:
@@ -70,9 +70,6 @@ def alt_convertible(P: FunctionDistribution, Q: FunctionDistribution) -> bool:
             f"cannot compare spectra over codomain sizes "
             f"{P.codomain_size} and {Q.codomain_size}"
         )
-    source = beta_vector(P)
-    target = beta_vector(Q)
     return all(
-        source.cumulative(k) >= target.cumulative(k)
-        for k in range(1, P.codomain_size + 1)
+        s >= t for s, t in zip(cumulative_monotones(P), cumulative_monotones(Q))
     )

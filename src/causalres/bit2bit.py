@@ -128,14 +128,12 @@ def monotone_triple(P: FunctionDistribution) -> MonotoneTriple:
     beta = params.beta
     if beta == ZERO:
         return MonotoneTriple(m_beta=ZERO, m_abs_alpha=None, m_gamma_beta=ZERO)
-    if beta == ONE:
-        assert params.alpha is not None
-        return MonotoneTriple(m_beta=ONE, m_abs_alpha=abs(params.alpha), m_gamma_beta=ONE)
-    assert params.alpha is not None and params.gamma is not None
+    assert params.alpha is not None
+    # gamma is absent only at beta = 1, where its term vanishes.
     return MonotoneTriple(
         m_beta=beta,
         m_abs_alpha=abs(params.alpha),
-        m_gamma_beta=beta / (ONE - abs(params.gamma) * (ONE - beta)),
+        m_gamma_beta=beta / (ONE - abs(params.gamma or ZERO) * (ONE - beta)),
     )
 
 

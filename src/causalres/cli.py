@@ -243,16 +243,18 @@ def _cmd_closure(args: argparse.Namespace, resources: Resources) -> None:
 
 
 def _dot(graph) -> str:
-    def node_id(members: tuple[str, ...]) -> str:
-        return ", ".join(members).replace("\\", "\\\\").replace('"', '\\"')
-
+    """DOT text of the graph; two classes may not share a node name."""
+    names = [
+        ", ".join(members).replace("\\", "\\\\").replace('"', '\\"')
+        for members in graph.classes
+    ]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DuplicateName(f"two classes of the Hasse diagram are both named {name!r}")
     lines = ["digraph hasse {"]
-    for members in graph.classes:
-        lines.append(f'  "{node_id(members)}";')
+    lines.extend(f'  "{name}";' for name in names)
     for upper, lower in graph.edges:
-        lines.append(
-            f'  "{node_id(graph.classes[upper])}" -> "{node_id(graph.classes[lower])}";'
-        )
+        lines.append(f'  "{names[upper]}" -> "{names[lower]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -270,22 +272,20 @@ def _cmd_hasse(args: argparse.Namespace, resources: Resources) -> None:
         sys.stdout.write(_dot(graph))
 
 
-def _parse_prior(text: str, size: int) -> Optional[Prior]:
+def _parse_prior(text: str) -> Optional[Prior]:
     if text == "uniform":
         return None
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != size:
-        raise ValueError(f"prior lists {len(parts)} weights for {size} inputs")
     try:
-        weights = tuple(_fraction(p) for p in parts)
+        weights = tuple(_fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse prior {text!r}") from None
     return Prior(weights=weights)
 
 
 def _cmd_game(args: argparse.Namespace, resources: Resources) -> None:
+    # `guessing_probability` checks the prior's length against each resource.
+    prior = _parse_prior(args.prior)
     for name, dist in resources:
-        prior = _parse_prior(args.prior, dist.domain_size)
         report: dict = {
             "name": name,
             "guessing_probability": str(guessing_probability(dist, prior)),
@@ -306,13 +306,16 @@ def _cmd_game(args: argparse.Namespace, resources: Resources) -> None:
 
 def _cmd_ace(args: argparse.Namespace, resources: Resources) -> None:
     for name, dist in resources:
+        # ace_dist refuses a resource that is not 2->2 before the dense
+        # channel is built.
+        effect = ace_dist(dist)
         channel = to_stochastic(dist)
         bound, witness = min_beta_over_preimage(channel)
         _emit(
             {
                 "name": name,
                 "ace": str(ace(channel)),
-                "ace_dist": str(ace_dist(dist)),
+                "ace_dist": str(effect),
                 "min_beta": str(bound),
                 "min_beta_witness": _support_json(witness),
             }

@@ -109,13 +109,24 @@ def _check_comb_budget(
     for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
         if size < 1:
             raise ValueError("alphabet sizes must be positive")
-    count = src_domain**tgt_domain * tgt_codomain**src_codomain
-    if count > budget:
+    # Alphabet sizes come from headers, so the count is bounded before it is
+    # formed. A base x >= 2 gives x**e more than e * (x.bit_length() - 1)
+    # bits and at most twice that. A count past both the budget's bit length
+    # and 1,024 bits is refused unformed, named by its signature as below.
+    low_bits = tgt_domain * (src_domain.bit_length() - 1) + src_codomain * (
+        tgt_codomain.bit_length() - 1
+    )
+    count = (
+        None
+        if low_bits >= max(budget.bit_length(), 1024)
+        else src_domain**tgt_domain * tgt_codomain**src_codomain
+    )
+    if count is None or count > budget:
         # Python refuses to print an int past its digit limit (640 digits at
         # the least), so a count too long for that is named by its signature.
         shown = (
             count
-            if count.bit_length() <= 1024
+            if count is not None and count.bit_length() <= 1024
             else f"{src_domain}^{tgt_domain} * {tgt_codomain}^{src_codomain}"
         )
         raise ResourceBudgetExceeded(f"{shown} extremal combs exceed the budget of {budget}")
@@ -148,12 +159,11 @@ def enumerate_extremal_combs(
 
 
 def apply_extremal(comb: ExtremalComb, P: FunctionDistribution) -> FunctionDistribution:
-    """Pushforward of P along f -> post . f . pre."""
-    if comb.pre.codomain_size != P.domain_size or comb.post.domain_size != P.codomain_size:
-        raise SizeMismatch(
-            f"comb expects a {comb.pre.codomain_size}->{comb.post.domain_size} resource, "
-            f"got {P.domain_size}->{P.codomain_size}"
-        )
+    """Pushforward of P along f -> post . f . pre.
+
+    Every f shares P's sizes, so `compose_functions` refuses a comb of the
+    wrong sizes on the first pair.
+    """
     return FunctionDistribution(
         comb.pre.domain_size,
         comb.post.codomain_size,

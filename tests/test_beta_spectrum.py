@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from causalres import (
     BUILTIN,
     IDENT,
@@ -73,6 +76,43 @@ def test_free_resources_have_vanishing_tails():
 @given(distributions(3, 3, max_support=5))
 def test_the_coarsest_sum_is_always_one(P):
     assert cumulative_monotones(P)[-1] == 1
+
+
+def test_cumulative_sums_of_a_wide_point_take_one_pass():
+    P = FunctionDistribution.point(FiniteFunction(1, 3000, (0,)))
+    start = time.perf_counter()
+    tails = cumulative_monotones(P)
+    assert time.perf_counter() - start < 1
+    assert tails == (F(0),) * 2999 + (F(1),)
+
+
+SIGNATURES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+def oracle_tails(P: FunctionDistribution) -> list[Fraction]:
+    """Tail sums of the oracle spectrum, largest image size first."""
+    weights = oracles.spectrum({f.outputs: w for f, w in P.items()}, P.codomain_size)
+    return [sum(weights[k:], F(0)) for k in reversed(range(len(weights)))]
+
+
+@given(st.sampled_from(SIGNATURES).flatmap(lambda dc: distributions(*dc, max_support=5)))
+def test_cumulative_sums_match_the_oracle_spectrum(P):
+    tails = cumulative_monotones(P)
+    assert list(tails) == oracle_tails(P)
+    assert all(type(t) is Fraction for t in tails)
+
+
+@given(
+    st.sampled_from(SIGNATURES).flatmap(
+        lambda dc: st.tuples(
+            distributions(*dc, max_support=5), distributions(*dc, max_support=5)
+        )
+    )
+)
+def test_dominance_matches_the_oracle_tails(pair):
+    P, Q = pair
+    dominates = all(p >= q for p, q in zip(oracle_tails(P), oracle_tails(Q)))
+    assert alt_convertible(P, Q) == dominates
 
 
 def test_identity_and_coin_dominate_each_other():

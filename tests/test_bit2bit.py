@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from causalres import (
     BUILTIN,
     FLIP,
@@ -99,6 +100,25 @@ def test_monotones_of_the_named_resources():
     assert monotone_triple(BUILTIN["bit2"]) == MonotoneTriple(F(0), None, F(0))
     assert monotone_triple(BUILTIN["bit4"]) == MonotoneTriple(F(1, 3), F(1), F(1))
     assert monotone_triple(BUILTIN["bit5"]) == MonotoneTriple(F(1, 3), F(1), F(1, 3))
+
+
+def as_oracle_triple(P: FunctionDistribution):
+    return oracles.monotone_triple({f.outputs: w for f, w in P.items()})
+
+
+@given(bit_distributions())
+def test_monotones_match_the_oracle(P):
+    triple = monotone_triple(P)
+    assert (triple.m_beta, triple.m_abs_alpha, triple.m_gamma_beta) == as_oracle_triple(P)
+
+
+@pytest.mark.parametrize("name, beta", [("bit1", 1), ("bit3", 1), ("bit2", 0)])
+def test_monotones_match_the_oracle_at_the_ends_of_beta(name, beta):
+    triple = monotone_triple(BUILTIN[name])
+    assert triple.m_beta == beta
+    assert (triple.m_beta, triple.m_abs_alpha, triple.m_gamma_beta) == as_oracle_triple(
+        BUILTIN[name]
+    )
 
 
 @given(bit_distributions())

@@ -204,6 +204,18 @@ def test_hasse_merges_equivalent_resources_in_dot(capsys):
     assert "->" not in out
 
 
+def test_hasse_dot_refuses_two_classes_of_one_name(monkeypatch, capsys):
+    reset = '{"name": "bit1", "domain": 2, "codomain": 2}\n{"map": [0, 0], "prob": "1"}\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(reset))
+    code, out, err = run(capsys, "hasse", "bit1", "-")
+    assert code == 2
+    assert out == ""
+    assert "'bit1'" in err
+    code, out, _ = run(capsys, "hasse", "bit1", "bit1")
+    assert code == 0
+    assert out == 'digraph hasse {\n  "bit1, bit1";\n}\n'
+
+
 def test_game_report(capsys):
     code, out, _ = run(capsys, "game", "bit4")
     assert code == 0
@@ -305,6 +317,44 @@ def test_a_comb_count_too_long_to_print_exits_with_three(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+def wide_point(monkeypatch, codomain: int) -> None:
+    header = json.dumps({"name": "wide", "domain": 1, "codomain": codomain})
+    entry = json.dumps({"map": [0], "prob": "1"})
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n{entry}\n"))
+
+
+def test_a_huge_codomain_exits_with_three_at_once(monkeypatch, capsys):
+    wide_point(monkeypatch, 10**7)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", "-")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: 1^1 * 10000000^10000000 extremal combs exceed the budget of 1000000\n"
+    )
+
+
+def test_ace_refuses_a_wide_resource_at_once(monkeypatch, capsys):
+    wide_point(monkeypatch, 10**6)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ace", "-")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_monotones_of_a_wide_point_finish_at_once(monkeypatch, capsys):
+    wide_point(monkeypatch, 10**4)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "monotones", "-")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    report = json.loads(out)
+    assert report["cumulative"] == ["0"] * 9999 + ["1"]
 
 
 def test_budget_is_checked_before_the_identity_shortcut(capsys):

@@ -37,7 +37,7 @@ from causalres import (
     know_convertible,
 )
 from causalres.exactlp import convex_weights
-from causalres.rtknowcaus import _distinct_images, _image
+from causalres.rtknowcaus import _check_comb_budget, _distinct_images, _image
 from strategies import (
     bit_distributions,
     distributions,
@@ -119,6 +119,28 @@ def test_a_count_too_long_to_print_is_named_by_its_signature():
         hasse([("a", P), ("b", P)])
 
 
+def test_a_huge_signature_is_refused_before_its_count_is_formed():
+    P = FunctionDistribution.point(FiniteFunction(1, 10**7, (0,)))
+    message = r"1\^1 \* 10000000\^10000000 extremal combs exceed the budget of 1000000$"
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetExceeded, match=message):
+        downward_closure_vertices(P)
+    assert time.perf_counter() - start < 2
+
+
+def test_a_count_just_under_a_long_budget_passes():
+    # 2^1328 < 9 * 10^399 < 10^400 < 2^1329: the three counts that pass have
+    # as many bits as the budget.
+    budget = 10**400
+    assert _check_comb_budget(2, 1, 1328, 1, budget) is None
+    assert _check_comb_budget(10, 1, 399, 9, budget) is None
+    assert _check_comb_budget(10, 1, 400, 1, budget) is None
+    with pytest.raises(ResourceBudgetExceeded, match=r"^2\^1329 \* 1\^1 extremal"):
+        _check_comb_budget(2, 1, 1329, 1, budget)
+    with pytest.raises(ResourceBudgetExceeded, match=r"^10\^401 \* 1\^1 extremal"):
+        _check_comb_budget(10, 1, 401, 1, budget)
+
+
 def test_identity_comb_fixes_everything():
     comb = ExtremalComb(pre=IDENT, post=IDENT)
     assert apply_extremal(comb, BUILTIN["bit4"]) == BUILTIN["bit4"]
@@ -135,9 +157,12 @@ def test_flip_pre_swaps_the_connected_weights():
 
 
 def test_apply_extremal_rejects_incompatible_sizes():
-    comb = ExtremalComb(pre=FiniteFunction.identity(3), post=IDENT)
-    with pytest.raises(SizeMismatch):
-        apply_extremal(comb, COIN)
+    for comb in (
+        ExtremalComb(pre=FiniteFunction.identity(3), post=IDENT),
+        ExtremalComb(pre=IDENT, post=FiniteFunction.identity(3)),
+    ):
+        with pytest.raises(SizeMismatch):
+            apply_extremal(comb, COIN)
 
 
 def test_worked_mixture_reaches_bit5():
