@@ -45,54 +45,45 @@ class Prior:
         return len(self.weights)
 
 
-def _resolve_prior(P: FunctionDistribution, prior: Optional[Prior]) -> Prior:
-    if prior is None:
-        return Prior.uniform(P.domain_size)
-    if len(prior) != P.domain_size:
-        raise SizeMismatch(
-            f"prior over {len(prior)} inputs against domain size {P.domain_size}"
-        )
-    return prior
-
-
 def guessing_probability(
     P: FunctionDistribution, prior: Optional[Prior] = None
 ) -> Rational:
     """Best achievable probability of guessing the input from one output.
 
-    The guesser picks an argmax of the joint weight for each output; outputs
-    with zero marginal never occur and contribute nothing.
+    The guesser picks an argmax of the joint weight for each output. The
+    joint weights are read from P's support, so outputs that no supported
+    function produces never occur and contribute nothing.
     """
-    prior = _resolve_prior(P, prior)
-    S = to_stochastic(P)
-    total = ZERO
-    for y in range(S.output_size):
-        total += max(S.entries[y][x] * prior.weights[x] for x in range(S.input_size))
-    return total
+    if prior is None:
+        prior = Prior.uniform(P.domain_size)
+    elif len(prior) != P.domain_size:
+        raise SizeMismatch(
+            f"prior over {len(prior)} inputs against domain size {P.domain_size}"
+        )
+    joint: dict[int, dict[int, Rational]] = {}
+    for f, w in P.items():
+        for x, y in enumerate(f.outputs):
+            row = joint.setdefault(y, {})
+            row[x] = row.get(x, ZERO) + prior.weights[x] * w
+    return sum((max(row.values()) for row in joint.values()), start=ZERO)
 
 
-def posterior_causal_connection(
-    P: FunctionDistribution, y: int, prior: Optional[Prior] = None
-) -> Rational:
+def posterior_causal_connection(P: FunctionDistribution, y: int) -> Rational:
     """Posterior weight on the nonconstant functions after observing y.
 
-    Only the uniform prior is supported; an explicit one must equal it.
+    The prior is uniform. It weights each input alike, so each function's
+    weight counts once per input it sends to y.
     """
     _require_bits(P)
     if y not in (0, 1):
         raise ValueError(f"output {y!r} is not a bit")
-    prior = _resolve_prior(P, prior)
-    if prior != Prior.uniform(P.domain_size):
-        raise ValueError("posteriors are defined for the uniform prior only")
     connected = ZERO
     marginal = ZERO
     for f, w in P.items():
-        hit = sum(
-            (prior.weights[x] for x in range(2) if f(x) == y), start=ZERO
-        )
-        marginal += w * hit
+        hit = w * f.outputs.count(y)
+        marginal += hit
         if not is_free_function(f):
-            connected += w * hit
+            connected += hit
     if marginal == ZERO:
         raise ZeroMarginal(f"output {y} has zero marginal under this prior")
     return connected / marginal

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .errors import SizeMismatch
@@ -101,11 +101,16 @@ def all_functions(domain_size: int, codomain_size: int) -> Iterator[FiniteFuncti
 
 def probability_vector(values: Iterable[WeightLike], what: str) -> tuple[Rational, ...]:
     """Coerce through `exact`; entries must be nonnegative and sum to exactly 1."""
-    vector = tuple(exact(v) for v in values)
+    # A list first: `tuple()` of a generator guesses a length and resizes,
+    # and the resized tuples pile up on CPython's per-length free lists.
+    vector = tuple([exact(v) for v in values])
     for v in vector:
         if v < 0:
             raise ValueError(f"negative {what} {v}")
-    if sum(vector, start=ZERO) != ONE:
+    # Summed as integers over one common denominator: as exact as adding the
+    # Fractions, without a gcd per addition.
+    den = lcm(*[v.denominator for v in vector])
+    if sum(v.numerator * (den // v.denominator) for v in vector) != den:
         raise ValueError(f"{what}s must sum to exactly 1")
     return vector
 
@@ -128,27 +133,23 @@ SupportLike = Union[Mapping[Hashable, WeightLike], Iterable[tuple[Hashable, Weig
 class ExactDistribution:
     """Exact probability distribution over hashable outcomes.
 
-    Weights go through `exact`, repeated outcomes add up, zero weights are
-    dropped and the rest must sum to exactly one; there is no
-    renormalization of approximate input. Instances are immutable, hashable
-    and compare by value, only ever with instances of their own type.
-    Subclasses say which outcomes they admit (`_check_outcomes`) and how
-    `items()` is ordered (`_sort_key`).
+    The raw weights must form a probability vector (`probability_vector`:
+    exact, each nonnegative, summing to exactly one); then repeated outcomes
+    add up and zero weights are dropped. There is no renormalization of
+    approximate input. Instances are immutable, hashable and compare by
+    value, only ever with instances of their own type. Subclasses say which
+    outcomes they admit (`_check_outcomes`) and how `items()` is ordered
+    (`_sort_key`).
     """
 
     __slots__ = ("_support", "_items")
 
     def __init__(self, support: SupportLike) -> None:
-        pairs = support.items() if isinstance(support, Mapping) else support
+        pairs = list(support.items() if isinstance(support, Mapping) else support)
         acc: dict = {}
-        for outcome, raw in pairs:
-            w = exact(raw)
-            if w < 0:
-                raise ValueError(f"negative weight {w} on {outcome!r}")
+        for (outcome, _), w in zip(pairs, probability_vector((raw for _, raw in pairs), "weight")):
             acc[outcome] = acc.get(outcome, ZERO) + w
         self._check_outcomes(acc)
-        if sum(acc.values(), start=ZERO) != ONE:
-            raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "_support", acc)
         object.__setattr__(
             self,

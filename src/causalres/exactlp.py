@@ -36,8 +36,6 @@ def convex_weights(
     `TypeError`.
     """
     n = len(points)
-    if n == 0:
-        return None
     d = len(target)
     if any(len(p) != d for p in points):
         raise ValueError("all points must have the dimension of the target")

@@ -20,7 +20,6 @@ F = Fraction
 TRIT_IDENT = FiniteFunction.identity(3)
 TRIT_LOW = FiniteFunction(3, 3, (0, 0, 1))
 TRIT_MID = FiniteFunction(3, 3, (0, 0, 2))
-TRIT_HIGH = FiniteFunction(3, 3, (0, 2, 2))
 
 BUILTIN: dict[str, FunctionDistribution] = {
     "bit1": FunctionDistribution(2, 2, {IDENT: F(1, 2), FLIP: F(1, 2)}),

@@ -351,8 +351,6 @@ def hasse(
     is transitive, so class membership can be settled against a single
     representative and the cover test only needs to exclude two-step chains.
     """
-    if not resources:
-        return HasseGraph(classes=(), edges=())
     labels = [label for label, _ in resources]
     dists = [dist for _, dist in resources]
     sizes = {(d.domain_size, d.codomain_size) for d in dists}

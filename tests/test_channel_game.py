@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from causalres import (
     BUILTIN,
@@ -29,7 +33,12 @@ from causalres import (
     posterior_causal_connection,
     to_stochastic,
 )
-from strategies import bit_distributions, random_bit_distribution, random_comb_mixture
+from strategies import (
+    bit_distributions,
+    distributions,
+    random_bit_distribution,
+    random_comb_mixture,
+)
 
 F = Fraction
 
@@ -40,6 +49,10 @@ EYE = StochasticMap(2, 2, ((F(1), F(0)), (F(0), F(1))))
 def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
     support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
     return FunctionDistribution(2, 2, support)
+
+
+def as_dict(P: FunctionDistribution) -> dict:
+    return {f.outputs: w for f, w in P.items()}
 
 
 def test_prior_validation():
@@ -73,6 +86,41 @@ def test_guessing_beyond_bits():
     assert guessing_probability(BUILTIN["trit_mix"]) == F(2, 3)
 
 
+@pytest.mark.parametrize("dom, cod", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_guessing_matches_the_channel_oracle(dom, cod, data):
+    P = data.draw(distributions(dom, cod))
+    assert guessing_probability(P) == oracles.guessing(as_dict(P), dom, cod)
+    raw = data.draw(st.lists(st.integers(0, 8), min_size=dom, max_size=dom).filter(any))
+    prior = Prior(weights=tuple(F(n, sum(raw)) for n in raw))
+    rows = oracles.channel(as_dict(P), dom, cod)
+    assert guessing_probability(P, prior) == sum(
+        max(prior.weights[x] * row[x] for x in range(dom)) for row in rows
+    )
+
+
+def test_guessing_reads_only_the_support():
+    # A 1->10^6 point mass: the dense channel has a million entries.
+    P = FunctionDistribution.point(FiniteFunction(1, 10**6, (0,)))
+    start = time.perf_counter()
+    assert guessing_probability(P) == 1
+    assert time.perf_counter() - start < 2
+
+
+@settings(max_examples=80)
+@given(bit_distributions(), st.sampled_from((0, 1)))
+@example(FunctionDistribution.point(RESET0), 1)
+def test_posterior_matches_the_oracle(P, y):
+    try:
+        expected = oracles.posterior_connected(as_dict(P), y)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroMarginal):
+            posterior_causal_connection(P, y)
+    else:
+        assert posterior_causal_connection(P, y) == expected
+
+
 def test_posterior_certainty_for_bit4():
     assert posterior_causal_connection(BUILTIN["bit4"], 1) == 1
 
@@ -92,12 +140,6 @@ def test_posterior_of_free_resources_vanishes():
 def test_posterior_requires_a_reachable_output():
     with pytest.raises(ZeroMarginal):
         posterior_causal_connection(FunctionDistribution.point(RESET0), 1)
-
-
-def test_posterior_refuses_skewed_priors():
-    skew = Prior(weights=(F(9, 10), F(1, 10)))
-    with pytest.raises(ValueError):
-        posterior_causal_connection(BUILTIN["bit4"], 1, skew)
 
 
 def test_best_postselection_on_the_named_resources():

@@ -347,6 +347,16 @@ def test_ace_refuses_a_wide_resource_at_once(monkeypatch, capsys):
     assert err.startswith("error: ")
 
 
+def test_game_of_a_wide_point_finishes_at_once(monkeypatch, capsys):
+    wide_point(monkeypatch, 10**6)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "game", "-")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out) == {"guessing_probability": "1", "name": "wide"}
+    assert err == ""
+
+
 def test_monotones_of_a_wide_point_finish_at_once(monkeypatch, capsys):
     wide_point(monkeypatch, 10**4)
     start = time.perf_counter()

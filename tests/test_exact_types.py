@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalres import (
     FLIP,
@@ -19,6 +21,7 @@ from causalres import (
     SizeMismatch,
     StochasticMap,
 )
+from causalres.core import probability_vector
 
 F = Fraction
 
@@ -53,6 +56,23 @@ def test_mixture_rejects_negative_weights():
 def test_mixture_rejects_weights_short_of_one():
     with pytest.raises(ValueError):
         CombMixture({BIT_COMB: F(1, 2)})
+
+
+# the weight rule, checked on raw weights before repeats add up
+
+
+@pytest.mark.parametrize(
+    "make, outcomes",
+    [
+        (lambda pairs: FunctionDistribution(2, 2, pairs), (IDENT, FLIP)),
+        (CombMixture, (BIT_COMB, ExtremalComb(FLIP, FLIP))),
+    ],
+    ids=["FunctionDistribution", "CombMixture"],
+)
+def test_distributions_refuse_a_negative_weight_that_a_repeat_cancels(make, outcomes):
+    first, second = outcomes
+    with pytest.raises(ValueError, match="negative weight -1/4"):
+        make([(first, F(3, 4)), (first, F(-1, 4)), (second, F(1, 2))])
 
 
 # immutability and equality across the two distribution types
@@ -104,6 +124,19 @@ def test_stochastic_map_rejects_a_negative_entry():
 def test_stochastic_map_rejects_floats():
     with pytest.raises(TypeError):
         StochasticMap(2, 2, ((0.5, 1.0), (0.5, 0.0)))
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=6))
+def test_probability_vectors_sum_exactly(values):
+    """The integer sum over a common denominator accepts exactly the vectors
+    whose `Fraction` sum is one."""
+    total = sum(values, F(0))
+    if total:
+        scaled = [v / total for v in values]
+        assert probability_vector(scaled, "weight") == tuple(scaled)
+    if total != 1:
+        with pytest.raises(ValueError, match="weights must sum to exactly 1"):
+            probability_vector(values, "weight")
 
 
 def test_stochastic_map_rejects_a_wrong_shape():

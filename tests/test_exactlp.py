@@ -57,6 +57,11 @@ def test_point_just_outside_an_edge():
     assert convex_weights(SQUARE, (F(1) + F(1, 1000), F(1, 2))) is None
 
 
+def test_no_points_hold_no_target():
+    assert convex_weights([], [F(1)]) is None
+    assert convex_weights([], []) is None
+
+
 def test_single_point_hull():
     check_membership([(F(2, 7), F(5, 7))], (F(2, 7), F(5, 7)))
     assert convex_weights([(F(2, 7), F(5, 7))], (F(2, 7), F(0))) is None

@@ -21,6 +21,7 @@ from causalres import (
     ExtremalComb,
     FiniteFunction,
     FunctionDistribution,
+    HasseGraph,
     ResourceBudgetExceeded,
     SizeMismatch,
     StochasticMap,
@@ -382,6 +383,10 @@ def test_hasse_merges_duplicates():
     graph = hasse([("a", COIN), ("b", COIN), ("down", RESETS)])
     assert graph.classes == (("a", "b"), ("down",))
     assert graph.edges == ((0, 1),)
+
+
+def test_hasse_of_no_resources_is_empty():
+    assert hasse([]) == HasseGraph((), ())
 
 
 def test_hasse_rejects_mixed_signatures():
