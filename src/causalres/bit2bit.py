@@ -191,11 +191,7 @@ def table1_vertices(P: FunctionDistribution) -> list[FunctionDistribution]:
         bit_resource(-alpha, beta, flipped_gamma),
         bit_resource(alpha, beta, flipped_gamma),
     ]
-    unique: list[FunctionDistribution] = []
-    for row in rows:
-        if row not in unique:
-            unique.append(row)
-    return unique
+    return list(dict.fromkeys(rows))
 
 
 # Corners of a cube make a regular tetrahedron with rational coordinates.

@@ -105,14 +105,10 @@ def max_postselected_connection(P: FunctionDistribution) -> Rational:
     return best
 
 
-def _require_bit_map(S: StochasticMap) -> None:
-    if (S.input_size, S.output_size) != (2, 2):
-        raise SizeMismatch("average causal effect is defined for 2x2 maps only")
-
-
 def ace(S: StochasticMap) -> Rational:
     """Average causal effect of a binary conditional: P(1|1) - P(1|0)."""
-    _require_bit_map(S)
+    if (S.input_size, S.output_size) != (2, 2):
+        raise SizeMismatch("average causal effect is defined for 2x2 maps only")
     return S.entries[1][1] - S.entries[1][0]
 
 
@@ -137,7 +133,7 @@ def min_beta_over_preimage(
     nonconstant weights, and what remains of the connection weight is
     exactly the absolute average causal effect of S.
     """
-    _require_bit_map(S)
+    bound = abs(ace(S))
     base = canonical_preimage(S)
     w_ident = base.weight(IDENT)
     w_flip = base.weight(FLIP)
@@ -152,7 +148,6 @@ def min_beta_over_preimage(
             RESET1: base.weight(RESET1) + slide,
         },
     )
-    bound = abs(ace(S))
     if to_stochastic(witness) != S:
         raise AssertionError("fiber witness left the preimage of S")
     if witness.weight(IDENT) + witness.weight(FLIP) != bound:

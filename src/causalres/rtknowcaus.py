@@ -23,6 +23,7 @@ from .core import (
     FiniteFunction,
     FunctionDistribution,
     Rational,
+    all_functions,
     compose_functions,
 )
 from .errors import ResourceBudgetExceeded, SizeMismatch
@@ -147,15 +148,12 @@ def enumerate_extremal_combs(
     before anything is materialized.
     """
     _check_comb_budget(src_domain, src_codomain, tgt_domain, tgt_codomain, budget)
-    pres = [
-        FiniteFunction(tgt_domain, src_domain, outputs)
-        for outputs in product(range(src_domain), repeat=tgt_domain)
+    posts = list(all_functions(src_codomain, tgt_codomain))
+    return [
+        ExtremalComb(pre, post)
+        for pre in all_functions(tgt_domain, src_domain)
+        for post in posts
     ]
-    posts = [
-        FiniteFunction(src_codomain, tgt_codomain, outputs)
-        for outputs in product(range(tgt_codomain), repeat=src_codomain)
-    ]
-    return [ExtremalComb(pre, post) for pre in pres for post in posts]
 
 
 def apply_extremal(comb: ExtremalComb, P: FunctionDistribution) -> FunctionDistribution:
@@ -272,42 +270,40 @@ def know_convertible(
     supp(Q), the only ones a mixture equal to Q can use; images stay
     integer-coded keys all the way into the LP, and combs are built as
     objects only for the certificate.
-    One shortcut keeps desk-scale runs fast without changing any verdict: a
-    resource reachable by a single comb returns that comb as a point
-    certificate without touching the LP (the identity comb answers
-    reflexive questions before any other is tried).
+    A certificate comes from one of three routes: the identity comb when
+    P == Q, the first comb whose image is Q (found without the LP), or the
+    LP's mixture. Whichever route finds it, it is applied to P again and
+    must give Q exactly before it is returned.
     """
     d, c = Q.domain_size, Q.codomain_size
     den, images = _distinct_images(P, d, c, budget)
-    if P == Q:
-        ident = ExtremalComb(
-            FiniteFunction.identity(P.domain_size),
-            FiniteFunction.identity(P.codomain_size),
-        )
-        return ConversionVerdict(True, CombMixture.point(ident))
 
     def comb(pre: tuple[int, ...], post: tuple[int, ...]) -> ExtremalComb:
         return ExtremalComb(
             FiniteFunction(d, P.domain_size, pre), FiniteFunction(P.codomain_size, c, post)
         )
 
-    # A weight of Q off P's denominator leaves a non-integer numerator here,
-    # so the key of Q then equals no image key.
-    target = tuple((f.outputs, w * den) for f, w in Q.items())
-    on_axis = {f.outputs for f in Q.functions()}
-    inside: dict[tuple, tuple] = {}
-    for key, pre, post in images:
-        if key == target:
-            return ConversionVerdict(True, CombMixture.point(comb(pre, post)))
-        if on_axis.issuperset(t for t, _ in key):
-            inside[key] = (pre, post)
-
-    weights = _hull_weights(target, inside)
-    if weights is None:
-        return ConversionVerdict(False, None)
-    certificate = CombMixture({comb(*inside[key]): w for key, w in weights.items()})
+    if P == Q:
+        certificate = CombMixture.point(comb(tuple(range(d)), tuple(range(c))))
+    else:
+        # A weight of Q off P's denominator leaves a non-integer numerator
+        # here, so the key of Q then equals no image key.
+        target = tuple((f.outputs, w * den) for f, w in Q.items())
+        on_axis = {f.outputs for f in Q.functions()}
+        inside: dict[tuple, tuple] = {}
+        for key, pre, post in images:
+            if key == target:
+                certificate = CombMixture.point(comb(pre, post))
+                break
+            if on_axis.issuperset(t for t, _ in key):
+                inside[key] = (pre, post)
+        else:
+            weights = _hull_weights(target, inside)
+            if weights is None:
+                return ConversionVerdict(False, None)
+            certificate = CombMixture({comb(*inside[key]): w for key, w in weights.items()})
     if apply_mixture(certificate, P) != Q:
-        raise AssertionError("feasible LP weights failed to reproduce the target")
+        raise AssertionError("certificate failed to reproduce the target")
     return ConversionVerdict(True, certificate)
 
 
@@ -347,9 +343,12 @@ def hasse(
 ) -> HasseGraph:
     """Order the labeled resources and reduce to the cover relation.
 
-    Mutually convertible resources are merged into one class. Convertibility
-    is transitive, so class membership can be settled against a single
-    representative and the cover test only needs to exclude two-step chains.
+    Mutually convertible resources are merged into one class. Each label
+    joins the class of the first label equivalent to it, itself included, so
+    every label, a lone one too, is compared with itself. Equivalence is
+    transitive, so that first label is also the first of its class, and it
+    stands for the class in the cover test, which only needs to exclude
+    two-step chains.
     """
     labels = [label for label, _ in resources]
     dists = [dist for _, dist in resources]
@@ -361,22 +360,13 @@ def hasse(
     def reaches(a: FunctionDistribution, b: FunctionDistribution) -> bool:
         return know_convertible(a, b, budget=budget).convertible
 
-    class_members: list[list[int]] = []
-    class_rep: list[FunctionDistribution] = []
-    for idx, dist in enumerate(dists):
-        for cls, rep in enumerate(class_rep):
-            if reaches(dist, rep) and reaches(rep, dist):
-                class_members[cls].append(idx)
-                break
-        else:
-            class_members.append([idx])
-            class_rep.append(dist)
+    def equivalent(i: int, j: int) -> bool:
+        return reaches(dists[i], dists[j]) and reaches(dists[j], dists[i])
 
-    k = len(class_rep)
-    dominates = [
-        [a != b and reaches(class_rep[a], class_rep[b]) for b in range(k)]
-        for a in range(k)
-    ]
+    first = [next(j for j in range(i + 1) if equivalent(i, j)) for i in range(len(dists))]
+    reps = sorted(set(first))
+    k = len(reps)
+    dominates = [[a != b and reaches(dists[a], dists[b]) for b in reps] for a in reps]
     edges = tuple(
         (a, b)
         for a in range(k)
@@ -384,5 +374,7 @@ def hasse(
         if dominates[a][b]
         and not any(dominates[a][c] and dominates[c][b] for c in range(k))
     )
-    classes = tuple(tuple(labels[i] for i in members) for members in class_members)
+    classes = tuple(
+        tuple(label for label, r in zip(labels, first) if r == rep) for rep in reps
+    )
     return HasseGraph(classes=classes, edges=edges)

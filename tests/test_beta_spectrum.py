@@ -103,6 +103,20 @@ def test_cumulative_sums_match_the_oracle_spectrum(P):
 
 
 @given(
+    st.sampled_from(SIGNATURES).flatmap(lambda dc: distributions(*dc, max_support=5)),
+    st.integers(1, 3),
+)
+def test_cumulative_of_a_spectrum_matches_the_monotones(P, beyond):
+    spectrum = beta_vector(P)
+    n = P.codomain_size
+    tails = cumulative_monotones(P)
+    assert [spectrum.cumulative(k) for k in range(1, n + 1)] == list(reversed(tails))
+    assert spectrum.cumulative(n + beyond) == 0
+    with pytest.raises(ValueError, match="image sizes start at 1"):
+        spectrum.cumulative(1 - beyond)
+
+
+@given(
     st.sampled_from(SIGNATURES).flatmap(
         lambda dc: st.tuples(
             distributions(*dc, max_support=5), distributions(*dc, max_support=5)

@@ -383,6 +383,13 @@ def test_hasse_checks_the_budget_on_equal_resources(capsys):
     assert err == "error: 16 extremal combs exceed the budget of 3\n"
 
 
+def test_hasse_checks_the_budget_on_a_single_resource(capsys):
+    code, out, err = run(capsys, "--budget", "3", "hasse", "bit4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: 16 extremal combs exceed the budget of 3\n"
+
+
 def test_budget_flag_after_the_subcommand(capsys):
     code, _, _ = run(capsys, "convert", "bit1", "bit2", "--budget", "3")
     assert code == 3

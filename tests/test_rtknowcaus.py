@@ -29,6 +29,7 @@ from causalres import (
     apply_extremal,
     apply_mixture,
     bit_resource,
+    canonical_form,
     canonical_preimage,
     compose_distributions,
     downward_closure_vertices,
@@ -37,6 +38,7 @@ from causalres import (
     is_free_resource,
     know_convertible,
 )
+from causalres import rtknowcaus
 from causalres.exactlp import convex_weights
 from causalres.rtknowcaus import _check_comb_budget, _distinct_images, _image
 from strategies import (
@@ -107,6 +109,11 @@ def test_hasse_checks_the_budget_on_equal_resources():
     P = BUILTIN["bit4"]
     with pytest.raises(ResourceBudgetExceeded, match="16 extremal combs exceed the budget of 3"):
         hasse([("a", P), ("b", P)], budget=3)
+
+
+def test_hasse_checks_the_budget_on_a_single_resource():
+    with pytest.raises(ResourceBudgetExceeded, match="16 extremal combs exceed the budget of 3"):
+        hasse([("a", BUILTIN["bit4"])], budget=3)
 
 
 def test_a_count_too_long_to_print_is_named_by_its_signature():
@@ -283,6 +290,39 @@ def test_self_conversion_uses_the_identity_comb():
     assert verdict.certificate == CombMixture.point(ExtremalComb(IDENT, IDENT))
 
 
+@pytest.mark.parametrize(
+    "src, dst, combs",
+    [("bit4", "bit4", 1), ("bit1", "bit2", 1), ("bit7", "bit8", 2)],
+    ids=["identity", "single-comb", "lp"],
+)
+def test_every_positive_route_is_rechecked_once(monkeypatch, src, dst, combs):
+    calls = []
+
+    def counted(m, P):
+        calls.append((m, P))
+        return apply_mixture(m, P)
+
+    monkeypatch.setattr(rtknowcaus, "apply_mixture", counted)
+    verdict = know_convertible(BUILTIN[src], BUILTIN[dst])
+    assert verdict.convertible
+    assert len(verdict.certificate.items()) == combs
+    assert calls == [(verdict.certificate, BUILTIN[src])]
+
+
+def test_a_single_comb_that_misses_the_target_is_refused(monkeypatch):
+    # Every image key is paired with a constant post, whose pushforward of
+    # bit1 is a point, so the key that matches bit2 carries a wrong comb.
+    distinct_images = rtknowcaus._distinct_images
+
+    def constant_posts(P, tgt_domain, tgt_codomain, budget):
+        den, images = distinct_images(P, tgt_domain, tgt_codomain, budget)
+        return den, ((key, pre, (0,) * P.codomain_size) for key, pre, _ in images)
+
+    monkeypatch.setattr(rtknowcaus, "_distinct_images", constant_posts)
+    with pytest.raises(AssertionError, match="certificate failed to reproduce the target"):
+        know_convertible(BUILTIN["bit1"], BUILTIN["bit2"])
+
+
 def test_certificates_recombine_exactly():
     rng = random.Random(7)
     hits = 0
@@ -393,6 +433,71 @@ def test_hasse_rejects_mixed_signatures():
     trit = FunctionDistribution.point(FiniteFunction.identity(3))
     with pytest.raises(SizeMismatch):
         hasse([("a", COIN), ("b", trit)])
+
+
+# Each sign flip relabels a bit resource within its equivalence class.
+ALPHA_FLIP = {IDENT: FLIP, FLIP: IDENT, RESET0: RESET0, RESET1: RESET1}
+GAMMA_FLIP = {IDENT: IDENT, FLIP: FLIP, RESET0: RESET1, RESET1: RESET0}
+
+
+@st.composite
+def bit_resource_lists(draw) -> list[FunctionDistribution]:
+    """1 to 6 bit resources drawn from a small pool, with repeats and twins."""
+    # Sizes drawn as integers spread more evenly than list lengths, which
+    # hypothesis keeps short.
+    pool_size, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(bit_distributions(), min_size=pool_size, max_size=pool_size, unique=True)
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.booleans(), st.booleans()),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    out = []
+    for P, flip_alpha, flip_gamma in picks:
+        twin = P
+        for flip, relabel in ((flip_alpha, ALPHA_FLIP), (flip_gamma, GAMMA_FLIP)):
+            if flip:
+                twin = FunctionDistribution(2, 2, {relabel[f]: w for f, w in twin.items()})
+        assert canonical_form(twin) == canonical_form(P)
+        out.append(twin)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_resource_lists())
+def test_hasse_matches_the_monotone_preorder(dists):
+    tables = [as_dict(P) for P in dists]
+    n = len(dists)
+
+    def reach(i: int, j: int) -> bool:
+        return oracles.fast_rule(tables[i], tables[j])
+
+    labels = [f"r{i}" for i in range(n)]
+    classes: list[tuple[str, ...]] = []
+    for i in range(n):
+        members = tuple(labels[j] for j in range(n) if reach(i, j) and reach(j, i))
+        if members not in classes:
+            classes.append(members)
+    reps = [labels.index(members[0]) for members in classes]
+    k = len(reps)
+    strict = {
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if reach(reps[a], reps[b]) and not reach(reps[b], reps[a])
+    }
+    cover = {
+        (a, b)
+        for a, b in strict
+        if not any((a, c) in strict and (c, b) in strict for c in range(k))
+    }
+    graph = hasse(list(zip(labels, dists)))
+    assert graph.classes == tuple(classes)
+    assert graph.edges == tuple(sorted(cover))
 
 
 def test_conversion_is_transitive_on_samples():
