@@ -12,9 +12,9 @@ denominator in it, so the cost row is just minus its column sums. The
 tableau holds integers over one positive common denominator and pivots
 fraction-free (Edmonds 1967, Bareiss 1968): every entry is a minor of the
 initial integer matrix, so each division by the previous pivot is exact.
-`Fraction` appears only where the inputs are coerced through `core.exact`
-and where the weights are returned, and an integer re-check of the weights
-against the rows guards the arithmetic in between.
+`Fraction` appears only where non-integer inputs are coerced through
+`core.exact` and where the weights are returned, and an integer re-check of
+the weights against the rows guards the arithmetic in between.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ def convex_weights(
     # target entry, and the normalization row, all scaled to integers by one
     # factor, the lcm of every denominator in the system. A row with a
     # negative right-hand side is flipped so the artificial start is feasible.
-    rows = [[exact(p[i]) for p in points] + [exact(target[i])] for i in range(d)]
+    # An int entry already has a numerator and a denominator and goes in as
+    # it is; any other is coerced through `exact`, which refuses floats.
+    rows = [
+        [v if type(v) is int else exact(v) for v in [p[i] for p in points] + [target[i]]]
+        for i in range(d)
+    ]
     scale = lcm(*[v.denominator for row in rows for v in row])
     for r, row in enumerate(rows):
         sign = -1 if row[n] < 0 else 1

@@ -183,25 +183,37 @@ def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistributi
 
 
 def _distinct_images(
-    P: FunctionDistribution, tgt_domain: int, tgt_codomain: int, budget: int
+    P: FunctionDistribution,
+    tgt_domain: int,
+    tgt_codomain: int,
+    budget: int,
+    axis: Optional[Iterable[tuple[int, ...]]] = None,
 ) -> tuple[int, Iterator[tuple]]:
-    """Each distinct image of P as an integer-coded key, with its first comb.
+    """Each distinct image of P supported inside axis, as a key with its first comb.
 
-    P's weights become integer numerators over den, their least common
-    denominator, and an image's key is its sorted (output table, numerator)
-    pairs, so keys compare and sort like `FunctionDistribution.items()`.
-    Each pre is composed with the support tables once, and a pre that yields
-    the same composed tables as an earlier one can only repeat its images,
-    so it is skipped. Returns den and an iterator of (key, pre table, post
+    axis is a set of output tables, every table when None. P's weights
+    become integer numerators over den, their least common denominator, and
+    an image's key is its sorted (output table, numerator) pairs, so keys
+    compare and sort like `FunctionDistribution.items()`. Each pre is
+    composed with the support tables once, and a pre that yields the same
+    composed tables as an earlier one can only repeat its images, so it is
+    skipped. Only posts that keep every composed table inside the axis are
+    built: each source letter takes only the values the axis allows at every
+    position where a composed table reads it, and a letter no table reads
+    stays at 0, which changes no image and is where the first post of each
+    image has it. Returns den and an iterator of (key, pre table, post
     table) for the first comb of each new key, in comb order; the budget is
     checked before this returns. `_image` builds the distribution of a key.
     """
     _check_comb_budget(P.domain_size, P.codomain_size, tgt_domain, tgt_codomain, budget)
     den = lcm(*(w.denominator for _, w in P.items()))
     support = [(f.outputs, w.numerator * (den // w.denominator)) for f, w in P.items()]
+    on_axis = set(
+        product(range(tgt_codomain), repeat=tgt_domain) if axis is None else axis
+    )
+    columns = [frozenset(col) for col in zip(*on_axis)]
 
     def images() -> Iterator[tuple]:
-        posts = list(product(range(tgt_codomain), repeat=P.codomain_size))
         seen: set[tuple] = set()
         seen_mids: set[tuple] = set()
         for pre in product(range(P.domain_size), repeat=tgt_domain):
@@ -209,15 +221,26 @@ def _distinct_images(
             if mids in seen_mids:
                 continue
             seen_mids.add(mids)
-            for post in posts:
+            reads: list[set[int]] = [set() for _ in range(P.codomain_size)]
+            for mid, _ in mids:
+                for x, m in enumerate(mid):
+                    reads[m].add(x)
+            choices = [
+                sorted(frozenset.intersection(*(columns[x] for x in xs))) if xs else (0,)
+                for xs in reads
+            ]
+            for post in product(*choices):
                 acc: dict[tuple[int, ...], int] = {}
                 for mid, n in mids:
                     out = tuple(map(post.__getitem__, mid))
+                    if out not in on_axis:
+                        break
                     acc[out] = acc.get(out, 0) + n
-                key = tuple(sorted(acc.items()))
-                if key not in seen:
-                    seen.add(key)
-                    yield key, pre, post
+                else:
+                    key = tuple(sorted(acc.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        yield key, pre, post
 
     return den, images()
 
@@ -265,18 +288,18 @@ def know_convertible(
     """Decide whether some free operation maps P exactly to Q.
 
     Q is convertible from P exactly when it lies in the convex hull of the
-    images of P under the extremal combs, so after deduplicating images the
-    question goes to the feasibility LP over the images supported inside
-    supp(Q), the only ones a mixture equal to Q can use; images stay
-    integer-coded keys all the way into the LP, and combs are built as
-    objects only for the certificate.
+    images of P under the extremal combs. A mixture equal to Q can use only
+    images supported inside supp(Q), so the image search builds only those,
+    with supp(Q)'s tables as its axis, and the deduplicated images go to
+    the feasibility LP; images stay integer-coded keys all the way into the
+    LP, and combs are built as objects only for the certificate.
     A certificate comes from one of three routes: the identity comb when
     P == Q, the first comb whose image is Q (found without the LP), or the
     LP's mixture. Whichever route finds it, it is applied to P again and
     must give Q exactly before it is returned.
     """
     d, c = Q.domain_size, Q.codomain_size
-    den, images = _distinct_images(P, d, c, budget)
+    den, images = _distinct_images(P, d, c, budget, (f.outputs for f in Q.functions()))
 
     def comb(pre: tuple[int, ...], post: tuple[int, ...]) -> ExtremalComb:
         return ExtremalComb(
@@ -289,14 +312,12 @@ def know_convertible(
         # A weight of Q off P's denominator leaves a non-integer numerator
         # here, so the key of Q then equals no image key.
         target = tuple((f.outputs, w * den) for f, w in Q.items())
-        on_axis = {f.outputs for f in Q.functions()}
         inside: dict[tuple, tuple] = {}
         for key, pre, post in images:
             if key == target:
                 certificate = CombMixture.point(comb(pre, post))
                 break
-            if on_axis.issuperset(t for t, _ in key):
-                inside[key] = (pre, post)
+            inside[key] = (pre, post)
         else:
             weights = _hull_weights(target, inside)
             if weights is None:

@@ -107,6 +107,31 @@ def test_floats_are_refused():
         convex_weights([[F(1)], [0.5]], [F(1, 2)])
 
 
+@pytest.mark.parametrize(
+    "points,target",
+    [
+        ([[0, 0], [4, 0], [0, 4], [4, 4]], [1, 3]),
+        ([[0, 0], [4, 0], [0, 4]], [3, 3]),
+        ([[3, 1], [1, 3], [2, 2]], [2, 2]),
+    ],
+)
+def test_int_fraction_and_string_entries_give_the_same_weights(points, target):
+    # Ints pass through uncoerced; the others go through `core.exact`.
+    weights = convex_weights(points, target)
+    for kind in (F, str):
+        assert convex_weights(
+            [[kind(v) for v in p] for p in points], [kind(v) for v in target]
+        ) == weights
+    mixed = [
+        [v if (i + j) % 2 else str(v) for j, v in enumerate(p)] for i, p in enumerate(points)
+    ]
+    assert convex_weights(mixed, [F(v) for v in target]) == weights
+    with pytest.raises(TypeError):
+        convex_weights(points, [float(target[0])] + target[1:])
+    with pytest.raises(TypeError):
+        convex_weights([[float(points[0][0])] + points[0][1:]] + points[1:], target)
+
+
 @st.composite
 def hull_questions(draw):
     """Points and a target, built to meet the solver's harder paths.

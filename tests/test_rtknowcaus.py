@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -314,8 +315,8 @@ def test_a_single_comb_that_misses_the_target_is_refused(monkeypatch):
     # bit1 is a point, so the key that matches bit2 carries a wrong comb.
     distinct_images = rtknowcaus._distinct_images
 
-    def constant_posts(P, tgt_domain, tgt_codomain, budget):
-        den, images = distinct_images(P, tgt_domain, tgt_codomain, budget)
+    def constant_posts(P, tgt_domain, tgt_codomain, budget, axis=None):
+        den, images = distinct_images(P, tgt_domain, tgt_codomain, budget, axis)
         return den, ((key, pre, (0,) * P.codomain_size) for key, pre, _ in images)
 
     monkeypatch.setattr(rtknowcaus, "_distinct_images", constant_posts)
@@ -710,6 +711,71 @@ def tables(dom: int, cod: int, weights: dict) -> FunctionDistribution:
     )
 
 
+@st.composite
+def axis_targets(draw, P: FunctionDistribution, dom: int, cod: int) -> FunctionDistribution:
+    """A target for P: free, mixed from two images, or an image off P's grid."""
+    kind = draw(st.sampled_from(["free", "mixed", "shifted"]))
+    if kind == "free":
+        return draw(distributions(dom, cod, max_support=3))
+    pres = st.sampled_from(oracles.all_tables(dom, P.domain_size))
+    posts = st.sampled_from(oracles.all_tables(P.codomain_size, cod))
+    near, far = (
+        oracles.pushforward(as_dict(P), draw(pres), draw(posts)) for _ in range(2)
+    )
+    if kind == "mixed":
+        w = F(draw(st.integers(1, 5)), 6)
+        return tables(dom, cod, oracles.mix([(w, near), (1 - w, far)]))
+    if len(near) > 1:
+        # Half a grid step moves from the heaviest table to the lightest.
+        shift = F(1, 2 * lcm(*(w.denominator for _, w in P.items())))
+        ranked = sorted(near, key=near.get)
+        near[ranked[0]] += shift
+        near[ranked[-1]] -= shift
+    return tables(dom, cod, near)
+
+
+def filtered_reference(P, dom: int, cod: int, axis: set, den: int) -> list:
+    """The reference's (key, pre, post) for each image supported inside axis."""
+    return [
+        (
+            tuple((f.outputs, w * den) for f, w in image.items()),
+            comb.pre.outputs,
+            comb.post.outputs,
+        )
+        for image, comb in oracles.comb_by_comb_images(P, dom, cod)
+        if axis.issuperset(f.outputs for f in image.functions())
+    ]
+
+
+@pytest.mark.parametrize("tgt", SIGNATURES, ids=lambda s: f"to{s[0]}{s[1]}")
+@pytest.mark.parametrize("src", SIGNATURES, ids=lambda s: f"from{s[0]}{s[1]}")
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_axis_search_matches_the_filtered_reference(src, tgt, data):
+    P = data.draw(distributions(*src, max_support=3))
+    Q = data.draw(axis_targets(P, *tgt))
+    axis = {f.outputs for f in Q.functions()}
+    den, images = _distinct_images(P, *tgt, DEFAULT_COMB_BUDGET, axis)
+    assert list(images) == filtered_reference(P, *tgt, axis, den)
+
+
+@pytest.mark.parametrize(
+    "P,tgt,axis",
+    [
+        (FunctionDistribution.point(RESET0), (2, 2), {(0, 1), (1, 0)}),
+        (BUILTIN["bit1"], (3, 3), {(0, 1, 2), (2, 1, 0)}),
+        (tables(3, 3, {(0, 1, 1): "1/2", (2, 2, 2): "1/2"}), (3, 3), {(0, 1, 2)}),
+        (tables(2, 4, {(0, 1): "1/3", (3, 3): "2/3"}), (2, 4), {(0, 1), (2, 3)}),
+    ],
+)
+def test_an_axis_no_image_reaches_gives_an_empty_walk(P, tgt, axis):
+    # Images are never wider than P's widest table, and an image of a source
+    # with a constant table keeps a constant table, so these axes are missed.
+    den, images = _distinct_images(P, *tgt, DEFAULT_COMB_BUDGET, axis)
+    assert filtered_reference(P, *tgt, axis, den) == []
+    assert list(images) == []
+
+
 @pytest.mark.parametrize(
     "halves,thirds",
     [
@@ -788,6 +854,51 @@ def test_four_letter_mixture_of_two_images_is_certified_within_a_minute():
     start = time.perf_counter()
     verdict = know_convertible(P, Q)
     assert time.perf_counter() - start < 60.0
+    assert verdict.convertible
+    assert len(verdict.certificate.items()) > 1
+    parts = [
+        (w, oracles.pushforward(as_dict(P), comb.pre.outputs, comb.post.outputs))
+        for comb, w in verdict.certificate.items()
+    ]
+    assert oracles.mix(parts) == mixed
+
+
+def four_function_resource(rng: random.Random, dom: int, cod: int) -> FunctionDistribution:
+    pool = list(all_functions(dom, cod))
+    return FunctionDistribution(
+        dom, cod, zip(rng.sample(pool, 4), (F(k, 10) for k in range(1, 5)))
+    )
+
+
+@pytest.mark.parametrize("dom,cod", [(5, 4), (4, 5)], ids=["5to4", "4to5"])
+def test_five_letter_pairs_are_refused_within_five_seconds(dom, cod):
+    # Each direction walks 800,000 combs without the target's support to
+    # narrow the posts (10-12 s on Python 3.11, shared 2-vCPU machine).
+    rng = random.Random(5)
+    P, Q = (four_function_resource(rng, dom, cod) for _ in range(2))
+    for src, dst in ((P, Q), (Q, P)):
+        start = time.perf_counter()
+        verdict = know_convertible(src, dst)
+        assert time.perf_counter() - start < 5.0
+        assert not verdict.convertible
+
+
+def test_five_to_four_mixture_of_two_images_is_certified_within_five_seconds():
+    rng = random.Random(8)
+    P = four_function_resource(rng, 5, 4)
+    near, far = (
+        oracles.pushforward(
+            as_dict(P),
+            random_function(rng, 5, 5).outputs,
+            random_function(rng, 4, 4).outputs,
+        )
+        for _ in range(2)
+    )
+    mixed = oracles.mix([(F(1, 3), near), (F(2, 3), far)])
+    Q = tables(5, 4, mixed)
+    start = time.perf_counter()
+    verdict = know_convertible(P, Q)
+    assert time.perf_counter() - start < 5.0
     assert verdict.convertible
     assert len(verdict.certificate.items()) > 1
     parts = [
