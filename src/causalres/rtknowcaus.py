@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -340,22 +340,35 @@ def downward_closure_vertices(
     vertices, never on each other. A mixture equal to c uses only points
     supported inside supp(c), so c lies in the hull of the other candidates
     exactly when it lies in the hull of those among them supported inside
-    supp(c), and that smaller hull is the one tested. Candidates stay
-    integer-coded keys, and only the vertices are built as objects.
+    supp(c), and that smaller hull is the one tested; its points are
+    gathered from an index of the candidates by support set, in candidate
+    order. Relabelling the inputs and outputs by bijections g = (pi, sigma)
+    is a comb, so it permutes the candidates, and being a vertex is constant
+    on each orbit: one LP decides the first candidate of an orbit, and its
+    verdict is given to every g . c. Candidates stay integer-coded keys,
+    and only the vertices are built as objects.
     """
     d, c = P.domain_size, P.codomain_size
     den, images = _distinct_images(P, d, c, budget)
     keys = [key for key, _, _ in images]
-    supports = [{t for t, _ in key} for key in keys]
-    return [
-        _image(d, c, den, key)
-        for i, key in enumerate(keys)
-        if _hull_weights(
-            key,
-            (other for j, other in enumerate(keys) if j != i and supports[j] <= supports[i]),
-        )
-        is None
-    ]
+    index = {key: i for i, key in enumerate(keys)}
+    by_support: dict[frozenset, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_support.setdefault(frozenset(t for t, _ in key), []).append(i)
+    relabellings = list(product(permutations(range(d)), permutations(range(c))))
+    vertex: list[Optional[bool]] = [None] * len(keys)
+    for i, key in enumerate(keys):
+        if vertex[i] is not None:
+            continue
+        support = frozenset(t for t, _ in key)
+        inside = sorted(j for s, js in by_support.items() if s <= support for j in js if j != i)
+        verdict = _hull_weights(key, (keys[j] for j in inside)) is None
+        # The image set is closed under relabelling, so every g . key is a
+        # key; a KeyError here would mean the kernel missed an image.
+        for pi, sigma in relabellings:
+            moved = tuple(sorted((tuple(sigma[t[x]] for x in pi), n) for t, n in key))
+            vertex[index[moved]] = verdict
+    return [_image(d, c, den, key) for key, is_vertex in zip(keys, vertex) if is_vertex]
 
 
 def hasse(

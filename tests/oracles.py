@@ -2,12 +2,15 @@
 
 Functions live here as bare output tuples and distributions as plain dicts,
 so nothing in this file can accidentally share a code path with the library.
-One exception checks one layer of the library against another of its own:
+Two exceptions check one layer of the library against another of its own:
 the comb-by-comb image reference runs the library's `apply_extremal` over
 `enumerate_extremal_combs`, the object route that the integer-coded image
-kernel replaced. The full-axis hull reference solves its LPs with
-`fraction_tableau_weights`, a frozen copy of the library's earlier
-`Fraction` simplex, so it shares no code with the solver under test.
+kernel replaced, and the per-candidate closure runs the library's image
+kernel and hull LP once per candidate, the route that deciding one
+candidate per relabelling orbit replaced. The full-axis hull reference
+solves its LPs with `fraction_tableau_weights`, a frozen copy of the
+library's earlier `Fraction` simplex, so it shares no code with the solver
+under test.
 The unit tests import the searchers directly; the frozen constants in the
 test modules were produced by running this file as a script:
 
@@ -300,6 +303,31 @@ def comb_by_comb_images(P, tgt_domain: int, tgt_codomain: int) -> list:
             seen.add(image)
             images.append((image, comb))
     return images
+
+
+def per_candidate_closure(P) -> list:
+    """Closure vertices of P by one hull test per distinct image, in image order.
+
+    Each image's LP takes every other image supported inside its support,
+    found by a scan over all images. It assumes nothing about relabelling,
+    so it checks the library's orbit walk, and it is fast enough for
+    four-letter alphabets, where `full_axis_closure` takes minutes.
+    """
+    from causalres.rtknowcaus import DEFAULT_COMB_BUDGET, _distinct_images, _hull_weights, _image
+
+    dom, cod = P.domain_size, P.codomain_size
+    den, images = _distinct_images(P, dom, cod, DEFAULT_COMB_BUDGET)
+    keys = [key for key, _, _ in images]
+    supports = [{t for t, _ in key} for key in keys]
+    return [
+        _image(dom, cod, den, key)
+        for i, key in enumerate(keys)
+        if _hull_weights(
+            key,
+            (other for j, other in enumerate(keys) if j != i and supports[j] <= supports[i]),
+        )
+        is None
+    ]
 
 
 # ---------------------------------------------------------------------------

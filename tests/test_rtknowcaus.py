@@ -534,19 +534,24 @@ def trit_mix_vertices():
     [((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 1)), ((1, 0, 2), (0, 2, 1))],
 )
 def test_trit_mix_closure_commutes_with_relabelling(trit_mix_vertices, pre, post):
-    # The LP's pivot path follows the labels, so a relabelled run is an
-    # independent computation of the same vertex set.
+    # The closure decides one candidate per relabelling orbit, so agreeing
+    # with a relabelled run no longer checks it on its own; each vertex list
+    # is also compared with the per-candidate reference, in order.
     relabel = ExtremalComb(FiniteFunction(3, 3, pre), FiniteFunction(3, 3, post))
-    relabelled = downward_closure_vertices(apply_extremal(relabel, BUILTIN["trit_mix"]))
+    moved = apply_extremal(relabel, BUILTIN["trit_mix"])
+    relabelled = downward_closure_vertices(moved)
     assert len(trit_mix_vertices) == 57
+    assert trit_mix_vertices == oracles.per_candidate_closure(BUILTIN["trit_mix"])
+    assert relabelled == oracles.per_candidate_closure(moved)
     assert set(relabelled) == {apply_extremal(relabel, v) for v in trit_mix_vertices}
 
 
 # Two closures with a four-letter alphabet. Each vertex list matched
 # oracles.full_axis_closure in order, but that reference took 175-225 s per
 # resource (Python 3.11, shared 2-vCPU machine), so only the counts are
-# frozen; the relabelled run below is the independent check that stays in
-# the suite.
+# frozen. The closure assumes that relabelling permutes the vertices, so
+# the relabelled run checks only that assumption; the independent check of
+# each vertex list is oracles.per_candidate_closure, in order.
 FOUR_LETTER_CLOSURES = [
     pytest.param(
         3, 4, {(0, 1, 2): F(1, 2), (3, 3, 3): F(1, 2)}, 244, (2, 0, 1), (1, 3, 0, 2), id="3to4"
@@ -563,9 +568,12 @@ def test_four_letter_closure_commutes_with_relabelling(dom, cod, support, count,
         dom, cod, {FiniteFunction(dom, cod, t): w for t, w in support.items()}
     )
     relabel = ExtremalComb(FiniteFunction(dom, dom, pre), FiniteFunction(cod, cod, post))
+    moved = apply_extremal(relabel, P)
     vertices = downward_closure_vertices(P)
-    relabelled = downward_closure_vertices(apply_extremal(relabel, P))
+    relabelled = downward_closure_vertices(moved)
     assert len(vertices) == count
+    assert vertices == oracles.per_candidate_closure(P)
+    assert relabelled == oracles.per_candidate_closure(moved)
     assert set(relabelled) == {apply_extremal(relabel, v) for v in vertices}
 
 
@@ -658,6 +666,20 @@ def test_closure_matches_the_full_axis_reference(dom, cod, data):
     P = data.draw(distributions(dom, cod, max_support=3))
     vertices = downward_closure_vertices(P)
     assert [as_dict(v) for v in vertices] == oracles.full_axis_closure(as_dict(P), dom, cod)
+
+
+@pytest.mark.parametrize(
+    "dom,cod,examples", [(2, 2, 20), (2, 3, 10), (3, 2, 10), (3, 3, 5), (1, 3, 10), (3, 1, 1)]
+)
+def test_closure_matches_the_per_candidate_reference(dom, cod, examples):
+    # One LP per relabelling orbit against one LP per candidate: the same
+    # vertices, element by element and in order.
+    @settings(max_examples=examples, deadline=None)
+    @given(distributions(dom, cod, max_support=3))
+    def check(P):
+        assert downward_closure_vertices(P) == oracles.per_candidate_closure(P)
+
+    check()
 
 
 def test_random_four_letter_pair_decides_within_a_minute():
