@@ -70,24 +70,14 @@ def _fraction(text: str) -> Fraction:
 
 
 def parse_resource_file(text: str) -> Resources:
-    """Parse the line-delimited resource format, reporting positions on error."""
-    resources: Resources = []
-    names: set[str] = set()
-    current: Optional[dict] = None
+    """Parse the line-delimited resource format, reporting positions on error.
 
-    def flush() -> None:
-        nonlocal current
-        if current is None:
-            return
-        try:
-            dist = FunctionDistribution(
-                current["domain"], current["codomain"], current["entries"]
-            )
-        except ValueError as exc:
-            raise NonNormalized(f"resource {current['name']!r}: {exc}") from None
-        resources.append((current["name"], dist))
-        current = None
-
+    `FiniteFunction` and `FunctionDistribution` enforce the table and weight
+    rules; the parser adds the resource name and line number to what they
+    refuse. Each distribution is built once the whole text is read.
+    """
+    # name -> (domain, codomain, entries), in header order
+    opened: dict[str, tuple[int, int, list]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -99,39 +89,29 @@ def parse_resource_file(text: str) -> Resources:
         if not isinstance(obj, dict):
             raise ValueError(f"line {lineno}: expected an object")
         if "name" in obj:
-            flush()
             name = obj.get("name")
-            domain = obj.get("domain")
-            codomain = obj.get("codomain")
             if not isinstance(name, str) or not name:
                 raise ValueError(f"line {lineno}: resource name must be a string")
-            if name in names:
+            if name in opened:
                 raise DuplicateName(f"line {lineno}: duplicate resource {name!r}")
-            names.add(name)
-            for label, size in (("domain", domain), ("codomain", codomain)):
+            sizes = (obj.get("domain"), obj.get("codomain"))
+            for label, size in zip(("domain", "codomain"), sizes):
                 if not isinstance(size, int) or isinstance(size, bool) or size < 1:
                     raise ValueError(
                         f"resource {name!r} line {lineno}: {label} must be a positive integer"
                     )
-            current = {"name": name, "domain": domain, "codomain": codomain, "entries": []}
+            opened[name] = (*sizes, [])
         elif "map" in obj:
-            if current is None:
+            if not opened:
                 raise ValueError(f"line {lineno}: support entry before any resource header")
-            where = f"resource {current['name']!r} line {lineno}"
-            table = obj.get("map")
-            if (
-                not isinstance(table, list)
-                or len(table) != current["domain"]
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in table)
-            ):
-                raise TableOutOfRange(
-                    f"{where}: map must list {current['domain']} integer outputs"
-                )
-            if not all(0 <= v < current["codomain"] for v in table):
-                raise TableOutOfRange(
-                    f"{where}: map entries must lie below the codomain size "
-                    f"{current['codomain']}"
-                )
+            name = next(reversed(opened))
+            domain, codomain, entries = opened[name]
+            where = f"resource {name!r} line {lineno}"
+            try:
+                # A `map` that is not iterable (a number, null) is a TypeError.
+                f = FiniteFunction(domain, codomain, obj["map"])
+            except (TypeError, ValueError) as exc:
+                raise TableOutOfRange(f"{where}: {exc}") from None
             prob = obj.get("prob")
             if not isinstance(prob, str):
                 raise MalformedWeight(f"{where}: prob must be a fraction string")
@@ -141,11 +121,15 @@ def parse_resource_file(text: str) -> Resources:
                 raise MalformedWeight(f"{where}: cannot parse fraction {prob!r}") from None
             if weight < 0:
                 raise MalformedWeight(f"{where}: negative probability {prob!r}")
-            f = FiniteFunction(current["domain"], current["codomain"], tuple(table))
-            current["entries"].append((f, weight))
+            entries.append((f, weight))
         else:
             raise ValueError(f"line {lineno}: object is neither a header nor an entry")
-    flush()
+    resources: Resources = []
+    for name, (domain, codomain, entries) in opened.items():
+        try:
+            resources.append((name, FunctionDistribution(domain, codomain, entries)))
+        except ValueError as exc:
+            raise NonNormalized(f"resource {name!r}: {exc}") from None
     return resources
 
 

@@ -345,30 +345,33 @@ def downward_closure_vertices(
     order. Relabelling the inputs and outputs by bijections g = (pi, sigma)
     is a comb, so it permutes the candidates, and being a vertex is constant
     on each orbit: one LP decides the first candidate of an orbit, and its
-    verdict is given to every g . c. Candidates stay integer-coded keys,
-    and only the vertices are built as objects.
+    verdict is written for every g . c in one map from key to verdict.
+    Candidates stay integer-coded keys, and only the vertices are built as
+    objects.
     """
     d, c = P.domain_size, P.codomain_size
     den, images = _distinct_images(P, d, c, budget)
     keys = [key for key, _, _ in images]
-    index = {key: i for i, key in enumerate(keys)}
     by_support: dict[frozenset, list[int]] = {}
     for i, key in enumerate(keys):
         by_support.setdefault(frozenset(t for t, _ in key), []).append(i)
     relabellings = list(product(permutations(range(d)), permutations(range(c))))
-    vertex: list[Optional[bool]] = [None] * len(keys)
+    vertex: dict[tuple, bool] = {}
     for i, key in enumerate(keys):
-        if vertex[i] is not None:
+        if key in vertex:
             continue
         support = frozenset(t for t, _ in key)
         inside = sorted(j for s, js in by_support.items() if s <= support for j in js if j != i)
         verdict = _hull_weights(key, (keys[j] for j in inside)) is None
-        # The image set is closed under relabelling, so every g . key is a
-        # key; a KeyError here would mean the kernel missed an image.
         for pi, sigma in relabellings:
             moved = tuple(sorted((tuple(sigma[t[x]] for x in pi), n) for t, n in key))
-            vertex[index[moved]] = verdict
-    return [_image(d, c, den, key) for key, is_vertex in zip(keys, vertex) if is_vertex]
+            vertex[moved] = verdict
+    # The image set is closed under relabelling, so the verdicts cover
+    # exactly the keys; a g . key outside them would mean the kernel missed
+    # an image.
+    if len(vertex) != len(keys):
+        raise AssertionError("relabelling left the image set")
+    return [_image(d, c, den, key) for key in keys if vertex[key]]
 
 
 def hasse(

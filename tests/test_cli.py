@@ -63,6 +63,38 @@ def test_parse_rejects_out_of_range_tables():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "table",
+    ["[0]", "[0, 0, 0]", "[true, 0]", "[1.0, 0]", '"01"', "{}", "null", "[-1, 0]"],
+    ids=["short", "long", "bool", "float", "string", "object", "null", "negative"],
+)
+def test_parse_rejects_malformed_tables(table):
+    # Out of range is `test_parse_rejects_out_of_range_tables`.
+    text = BIT4_TEXT.replace("[0, 0]", table)
+    with pytest.raises(TableOutOfRange) as err:
+        parse_resource_file(text)
+    assert "resource 'probe' line 3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"name": "second", "domain": true, "codomain": 2}',
+        '{"name": "second", "domain": 2, "codomain": "2"}',
+        '{"name": "second", "domain": 0, "codomain": 2}',
+        '{"name": "second", "domain": 2}',
+        '{"name": "", "domain": 2, "codomain": 2}',
+        '{"name": 5, "domain": 2, "codomain": 2}',
+    ],
+    ids=["bool-size", "string-size", "zero-size", "missing-size", "empty-name", "number-name"],
+)
+def test_parse_rejects_malformed_headers(header):
+    text = BIT4_TEXT + header + "\n"
+    with pytest.raises(ValueError, match="line 4: .* must be ") as err:
+        parse_resource_file(text)
+    assert type(err.value) is ValueError
+
+
 def test_parse_rejects_numeric_probabilities():
     text = BIT4_TEXT.replace('"1/3"', "0.3333")
     with pytest.raises(MalformedWeight):

@@ -546,6 +546,27 @@ def test_trit_mix_closure_commutes_with_relabelling(trit_mix_vertices, pre, post
     assert set(relabelled) == {apply_extremal(relabel, v) for v in trit_mix_vertices}
 
 
+def test_closure_refuses_an_image_set_not_closed_under_relabelling(monkeypatch):
+    # The image kernel loses the twin of the first key with outputs 0 and 1
+    # swapped; relabelling the first key still reaches it, so a verdict lands
+    # outside the images.
+    distinct_images = rtknowcaus._distinct_images
+    dropped = []
+
+    def lose_one_twin(P, tgt_domain, tgt_codomain, budget, axis=None):
+        den, images = distinct_images(P, tgt_domain, tgt_codomain, budget, axis)
+        images = list(images)
+        first = images[0][0]
+        twin = tuple(sorted((tuple((1, 0, 2)[y] for y in t), n) for t, n in first))
+        dropped.extend(image for image in images if image[0] == twin and twin != first)
+        return den, [image for image in images if image not in dropped]
+
+    monkeypatch.setattr(rtknowcaus, "_distinct_images", lose_one_twin)
+    with pytest.raises(AssertionError, match="relabelling left the image set"):
+        downward_closure_vertices(BUILTIN["trit_mix"])
+    assert len(dropped) == 1
+
+
 # Two closures with a four-letter alphabet. Each vertex list matched
 # oracles.full_axis_closure in order, but that reference took 175-225 s per
 # resource (Python 3.11, shared 2-vCPU machine), so only the counts are
