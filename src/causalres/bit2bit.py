@@ -29,9 +29,10 @@ HALF = Rational(1, 2)
 class BitParams:
     """The (alpha, beta, gamma) coordinates of a bit-to-bit resource.
 
-    alpha runs from -1 (all identity) to +1 (all flip) and is None when
-    beta is zero; gamma runs from -1 (all reset-to-0) to +1 (all reset-to-1)
-    and is None when beta is one.
+    beta runs from 0 to 1; alpha runs from -1 (all identity) to +1 (all
+    flip) and is None when beta is zero; gamma runs from -1 (all reset-to-0)
+    to +1 (all reset-to-1) and is None when beta is one. A point outside
+    these ranges is refused by the weight rule of `to_distribution`.
     """
 
     alpha: Optional[Rational]
@@ -45,16 +46,14 @@ class BitParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
-        if not ZERO <= beta <= ONE:
-            raise ValueError(f"beta {beta} outside [0, 1]")
         if (alpha is None) != (beta == ZERO):
             raise ValueError("alpha must be present exactly when beta > 0")
         if (gamma is None) != (beta == ONE):
             raise ValueError("gamma must be present exactly when beta < 1")
-        if alpha is not None and not -ONE <= alpha <= ONE:
-            raise ValueError(f"alpha {alpha} outside [-1, 1]")
-        if gamma is not None and not -ONE <= gamma <= ONE:
-            raise ValueError(f"gamma {gamma} outside [-1, 1]")
+        # The four weights sum to 1 for any point, and a coordinate outside
+        # its interval makes one of them negative, so the weight rule is the
+        # range check.
+        self.to_distribution()
 
     def to_distribution(self) -> FunctionDistribution:
         """Invert the parametrization back into four exact weights."""

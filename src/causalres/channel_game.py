@@ -18,6 +18,7 @@ from .core import (
     FunctionDistribution,
     Rational,
     StochasticMap,
+    alphabet_size,
     canonical_preimage,
     probability_vector,
     to_stochastic,
@@ -39,7 +40,7 @@ class Prior:
 
     @classmethod
     def uniform(cls, size: int) -> "Prior":
-        return cls(weights=(Rational(1, size),) * size)
+        return cls(weights=(Rational(1, alphabet_size(size, "prior size")),) * size)
 
     def __len__(self) -> int:
         return len(self.weights)

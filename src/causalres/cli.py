@@ -12,6 +12,7 @@ Resource file format, one JSON object per line:
     {"map": [0, 0], "prob": "2/3"}
 
 A header line opens a resource; the following entry lines list its support.
+A header line carries no entry of its own.
 Probabilities must be strings (exactness does not survive JSON numbers):
 an integer, a/b or a decimal, with no exponent.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -36,7 +38,7 @@ from .channel_game import (
     min_beta_over_preimage,
     posterior_causal_connection,
 )
-from .core import FiniteFunction, FunctionDistribution, to_stochastic
+from .core import FiniteFunction, FunctionDistribution, alphabet_size, to_stochastic
 from .errors import (
     DuplicateName,
     MalformedWeight,
@@ -82,13 +84,17 @@ def parse_resource_file(text: str) -> Resources:
         line = raw.strip()
         if not line:
             continue
+        # An integer past Python's digit limit is a plain ValueError, not a
+        # JSONDecodeError.
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"line {lineno}: expected an object")
         if "name" in obj:
+            if "map" in obj or "prob" in obj:
+                raise ValueError(f"line {lineno}: a header line cannot carry an entry")
             name = obj.get("name")
             if not isinstance(name, str) or not name:
                 raise ValueError(f"line {lineno}: resource name must be a string")
@@ -96,10 +102,7 @@ def parse_resource_file(text: str) -> Resources:
                 raise DuplicateName(f"line {lineno}: duplicate resource {name!r}")
             sizes = (obj.get("domain"), obj.get("codomain"))
             for label, size in zip(("domain", "codomain"), sizes):
-                if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-                    raise ValueError(
-                        f"resource {name!r} line {lineno}: {label} must be a positive integer"
-                    )
+                alphabet_size(size, f"resource {name!r} line {lineno}: {label}")
             opened[name] = (*sizes, [])
         elif "map" in obj:
             if not opened:
@@ -185,23 +188,15 @@ def _cmd_monotones(args: argparse.Namespace, resources: Resources) -> None:
             "cumulative": [str(m) for m in cumulative_monotones(dist)],
         }
         if (dist.domain_size, dist.codomain_size) == (2, 2):
-            triple = monotone_triple(dist)
-            report["m_beta"] = str(triple.m_beta)
-            report["m_abs_alpha"] = (
-                None if triple.m_abs_alpha is None else str(triple.m_abs_alpha)
-            )
-            report["m_gamma_beta"] = str(triple.m_gamma_beta)
+            for key, value in asdict(monotone_triple(dist)).items():
+                report[key] = None if value is None else str(value)
         _emit(report)
 
 
 def _cmd_convert(args: argparse.Namespace, resources: Resources) -> None:
     if len(resources) != 2:
         raise ValueError(f"convert needs exactly 2 resources, got {len(resources)}")
-    (name_a, dist_a), (name_b, dist_b) = resources
-    for src_name, src, dst_name, dst in (
-        (name_a, dist_a, name_b, dist_b),
-        (name_b, dist_b, name_a, dist_a),
-    ):
+    for (src_name, src), (dst_name, dst) in (resources, resources[::-1]):
         verdict = know_convertible(src, dst, budget=args.budget)
         report = {
             "source": src_name,

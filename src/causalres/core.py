@@ -35,13 +35,21 @@ def exact(value: WeightLike) -> Rational:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+def alphabet_size(value: object, what: str) -> int:
+    """The size of a finite alphabet: a positive int, and never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return value
+
+
+@dataclass(frozen=True, order=True)
 class FiniteFunction:
     """A total function between 0-based finite index sets.
 
     `outputs[x]` is the image of input x. Equality and hashing follow the
     full (domain_size, codomain_size, outputs) triple, so the same table
-    with a larger declared codomain is a different function.
+    with a larger declared codomain is a different function. Ordering
+    follows the same triple, so functions of one signature sort by table.
     """
 
     domain_size: int
@@ -50,8 +58,8 @@ class FiniteFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        if self.domain_size < 1 or self.codomain_size < 1:
-            raise ValueError("domain and codomain must be nonempty")
+        alphabet_size(self.domain_size, "domain size")
+        alphabet_size(self.codomain_size, "codomain size")
         if len(self.outputs) != self.domain_size:
             raise ValueError(
                 f"expected {self.domain_size} outputs, got {len(self.outputs)}"
@@ -115,12 +123,13 @@ def probability_vector(values: Iterable[WeightLike], what: str) -> tuple[Rationa
     return vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExtremalComb:
     """A deterministic (pre, post) pair: post after the resource after pre.
 
     In the probabilistic theory it is an extreme point of the free polytope;
-    in the deterministic theory it witnesses one conversion.
+    in the deterministic theory it witnesses one conversion. Combs of one
+    signature sort by (pre table, post table).
     """
 
     pre: FiniteFunction
@@ -138,8 +147,9 @@ class ExactDistribution:
     add up and zero weights are dropped. There is no renormalization of
     approximate input. Instances are immutable, hashable and compare by
     value, only ever with instances of their own type. Subclasses say which
-    outcomes they admit (`_check_outcomes`) and how `items()` is ordered
-    (`_sort_key`).
+    outcomes they admit (`_check_outcomes`), which runs before any two
+    outcomes are compared; `items()` then follows the outcomes' natural
+    order.
     """
 
     __slots__ = ("_support", "_items")
@@ -154,7 +164,7 @@ class ExactDistribution:
         object.__setattr__(
             self,
             "_items",
-            tuple(sorted(((k, w) for k, w in acc.items() if w), key=self._sort_key)),
+            tuple(sorted(((k, w) for k, w in acc.items() if w), key=lambda item: item[0])),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -165,7 +175,7 @@ class ExactDistribution:
         return dict(self._items)
 
     def items(self) -> tuple[tuple, ...]:
-        """Support pairs in the subclass's order."""
+        """Support pairs in the natural order of the outcomes."""
         return self._items
 
     def weight(self, outcome: Hashable) -> Rational:
@@ -205,10 +215,6 @@ class FunctionDistribution(ExactDistribution):
                     f"{f.domain_size}->{f.codomain_size}, expected {d}->{c}"
                 )
 
-    @staticmethod
-    def _sort_key(item: tuple) -> object:
-        return item[0].outputs
-
     @classmethod
     def point(cls, f: FiniteFunction) -> "FunctionDistribution":
         """The distribution concentrated on a single function."""
@@ -235,8 +241,8 @@ class StochasticMap:
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.entries)
-        if self.input_size < 1 or self.output_size < 1:
-            raise ValueError("alphabets must be nonempty")
+        alphabet_size(self.input_size, "input size")
+        alphabet_size(self.output_size, "output size")
         if len(rows) != self.output_size or any(len(r) != self.input_size for r in rows):
             raise ValueError("entry matrix shape must be output_size x input_size")
         columns = [

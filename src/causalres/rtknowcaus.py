@@ -24,6 +24,7 @@ from .core import (
     FunctionDistribution,
     Rational,
     all_functions,
+    alphabet_size,
     compose_functions,
 )
 from .errors import ResourceBudgetExceeded, SizeMismatch
@@ -57,11 +58,6 @@ class CombMixture(ExactDistribution):
             )
         if len(signatures) > 1:
             raise SizeMismatch(f"combs of several signatures: {sorted(signatures)}")
-
-    @staticmethod
-    def _sort_key(item: tuple) -> object:
-        comb = item[0]
-        return (comb.pre.outputs, comb.post.outputs)
 
     @classmethod
     def point(cls, comb: ExtremalComb) -> "CombMixture":
@@ -108,8 +104,7 @@ def _check_comb_budget(
 ) -> None:
     """Refuse a conversion signature whose comb count exceeds the budget."""
     for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
-        if size < 1:
-            raise ValueError("alphabet sizes must be positive")
+        alphabet_size(size, "alphabet size")
     # Alphabet sizes come from headers, so the count is bounded before it is
     # formed. A base x >= 2 gives x**e more than e * (x.bit_length() - 1)
     # bits and at most twice that. A count past both the budget's bit length
@@ -193,7 +188,8 @@ def _distinct_images(
 
     axis is a set of output tables, every table when None. P's weights
     become integer numerators over den, their least common denominator, and
-    an image's key is its sorted (output table, numerator) pairs, so keys
+    an image's key is its sorted (output table, numerator) pairs. Tables of
+    one signature sort like the natural order of their functions, so keys
     compare and sort like `FunctionDistribution.items()`. Each pre is
     composed with the support tables once, and a pre that yields the same
     composed tables as an earlier one can only repeat its images, so it is

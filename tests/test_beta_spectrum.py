@@ -56,6 +56,11 @@ def test_spectrum_validation():
         spectrum.weight(0)
 
 
+def test_spectrum_weight_is_zero_beyond_the_stored_range():
+    spectrum = beta_vector(BUILTIN["trit_mix"])
+    assert [spectrum.weight(k) for k in (1, 2, 3, 4, 10)] == [0, F(2, 3), F(1, 3), 0, 0]
+
+
 def test_cumulative_sums_of_the_trit_example():
     assert cumulative_monotones(BUILTIN["trit_mix"]) == (F(1, 3), F(1), F(1))
 

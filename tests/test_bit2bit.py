@@ -79,6 +79,23 @@ def test_bit_resource_rejects_inconsistent_absences():
         bit_resource(F(0), F(1), F(0))
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, gamma",
+    [
+        (F(0), F(3, 2), F(0)),
+        (F(0), F(-1, 2), F(0)),
+        (F(3, 2), F(1, 2), F(0)),
+        (F(-3, 2), F(1), None),
+        (F(0), F(1, 2), F(5, 4)),
+        (None, F(0), F(-5, 4)),
+    ],
+    ids=["beta>1", "beta<0", "alpha>1", "alpha<-1", "gamma>1", "gamma<-1"],
+)
+def test_parameters_outside_their_ranges_give_a_negative_weight(alpha, beta, gamma):
+    with pytest.raises(ValueError, match="^negative weight -"):
+        BitParams(alpha, beta, gamma)
+
+
 @given(bit_distributions())
 def test_parameters_round_trip(P):
     params = parametrize(P)

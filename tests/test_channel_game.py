@@ -137,6 +137,11 @@ def test_posterior_of_free_resources_vanishes():
     assert posterior_causal_connection(BUILTIN["bit2"], 0) == 0
 
 
+def test_posterior_requires_a_bit_output():
+    with pytest.raises(ValueError, match="output 2 is not a bit"):
+        posterior_causal_connection(BUILTIN["bit4"], 2)
+
+
 def test_posterior_requires_a_reachable_output():
     with pytest.raises(ZeroMarginal):
         posterior_causal_connection(FunctionDistribution.point(RESET0), 1)
@@ -173,6 +178,8 @@ def test_ace_from_the_resource_weights():
 def test_ace_rejects_larger_alphabets():
     with pytest.raises(SizeMismatch):
         ace_dist(BUILTIN["trit_mix"])
+    with pytest.raises(SizeMismatch):
+        ace(StochasticMap(2, 3, ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))))
 
 
 @given(bit_distributions())

@@ -95,6 +95,39 @@ def test_parse_rejects_malformed_headers(header):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"map": [1, 0], "prob": "1/3"',
+        "[1, 0]",
+        '{"prob": "1/3"}',
+        '{"map": [' + "9" * 5000 + ', 0], "prob": "1/3"}',
+    ],
+    ids=["invalid-json", "not-an-object", "neither-header-nor-entry", "digit-limit"],
+)
+def test_parse_names_the_line_of_a_malformed_object(line):
+    # Past Python's integer digit limit, json.loads raises a plain ValueError.
+    text = BIT4_TEXT.replace('{"map": [1, 0], "prob": "1/3"}', line)
+    with pytest.raises(ValueError, match="^line 2: ") as err:
+        parse_resource_file(text)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"map": [1, 1], "prob": "1"}, {"map": [1, 1]}, {"prob": "1"}],
+    ids=["map-and-prob", "map", "prob"],
+)
+def test_a_header_line_cannot_carry_an_entry(monkeypatch, capsys, entry):
+    header = json.dumps({"name": "a", "domain": 2, "codomain": 2, **entry})
+    text = f'{header}\n{{"map": [0, 1], "prob": "1"}}\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "monotones", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: a header line cannot carry an entry\n"
+
+
 def test_parse_rejects_numeric_probabilities():
     text = BIT4_TEXT.replace('"1/3"', "0.3333")
     with pytest.raises(MalformedWeight):

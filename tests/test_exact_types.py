@@ -20,6 +20,7 @@ from causalres import (
     Prior,
     SizeMismatch,
     StochasticMap,
+    enumerate_extremal_combs,
 )
 from causalres.core import probability_vector
 
@@ -41,6 +42,11 @@ def test_mixture_rejects_mixed_comb_signatures():
 def test_mixture_rejects_keys_that_are_not_combs():
     with pytest.raises(TypeError):
         CombMixture({IDENT: F(1)})
+
+
+def test_function_distribution_rejects_keys_that_are_not_functions():
+    with pytest.raises(TypeError, match="support keys must be functions"):
+        FunctionDistribution(2, 2, {BIT_COMB: F(1)})
 
 
 def test_mixture_rejects_float_weights():
@@ -142,6 +148,51 @@ def test_probability_vectors_sum_exactly(values):
 def test_stochastic_map_rejects_a_wrong_shape():
     with pytest.raises(ValueError):
         StochasticMap(2, 2, ((F(1), F(1)),))
+
+
+# alphabet sizes, one rule for every caller
+
+
+@pytest.mark.parametrize("size", [0, -1, True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: FiniteFunction(n, 2, (0, 0)),
+        lambda n: FiniteFunction(2, n, (0, 0)),
+        lambda n: StochasticMap(n, 1, ((F(1), F(1)),)),
+        lambda n: StochasticMap(1, n, ((F(1),),)),
+        Prior.uniform,
+        lambda n: enumerate_extremal_combs(n, 2, 2, 2),
+        lambda n: enumerate_extremal_combs(2, 2, 2, n),
+    ],
+    ids=[
+        "function-domain",
+        "function-codomain",
+        "map-input",
+        "map-output",
+        "uniform-prior",
+        "comb-source",
+        "comb-target",
+    ],
+)
+def test_alphabet_sizes_must_be_positive_integers(build, size):
+    with pytest.raises(ValueError, match="size must be a positive integer$"):
+        build(size)
+
+
+# natural order: by table within one signature
+
+
+def test_functions_of_one_signature_sort_by_table():
+    functions = [FiniteFunction(2, 3, t) for t in ((2, 0), (0, 2), (1, 1), (0, 1))]
+    assert [f.outputs for f in sorted(functions)] == [(0, 1), (0, 2), (1, 1), (2, 0)]
+
+
+def test_combs_of_one_signature_sort_by_pre_then_post():
+    combs = [ExtremalComb(FLIP, IDENT), ExtremalComb(IDENT, FLIP), ExtremalComb(IDENT, IDENT)]
+    assert sorted(combs) == [combs[2], combs[1], combs[0]]
+    mixture = CombMixture({c: F(1, 3) for c in combs})
+    assert [c for c, _ in mixture.items()] == sorted(combs)
 
 
 # one (pre, post) pair

@@ -100,6 +100,11 @@ def test_points_beyond_the_coordinate_range_are_rejected(points):
     assert convex_weights(points, (F(4), F(0))) is None
 
 
+def test_points_must_have_the_dimension_of_the_target():
+    with pytest.raises(ValueError, match="dimension of the target"):
+        convex_weights([(F(1), F(0)), (F(0),)], (F(1), F(0)))
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         convex_weights([[1], [0]], [0.1])
