@@ -122,17 +122,24 @@ def parametrize(P: FunctionDistribution) -> BitParams:
 
 
 def monotone_triple(P: FunctionDistribution) -> MonotoneTriple:
-    """Evaluate the three monotones at P."""
-    params = parametrize(P)
-    beta = params.beta
+    """Evaluate the three monotones at P from its four weights.
+
+    m_beta = w_I + w_F and |alpha| = |w_F - w_I| / beta. Since
+    (1 - beta) - |w_R1 - w_R0| = 2 min(w_R0, w_R1), the paper's
+    m_gamma_beta = beta / (1 - |gamma| (1 - beta)) is
+    beta / (beta + 2 min(w_R0, w_R1)): the posterior of causal connection
+    after the output whose reset weighs less.
+    """
+    _require_bits(P)
+    w_ident = P.weight(IDENT)
+    w_flip = P.weight(FLIP)
+    beta = w_ident + w_flip
     if beta == ZERO:
         return MonotoneTriple(m_beta=ZERO, m_abs_alpha=None, m_gamma_beta=ZERO)
-    assert params.alpha is not None
-    # gamma is absent only at beta = 1, where its term vanishes.
     return MonotoneTriple(
         m_beta=beta,
-        m_abs_alpha=abs(params.alpha),
-        m_gamma_beta=beta / (ONE - abs(params.gamma or ZERO) * (ONE - beta)),
+        m_abs_alpha=abs(w_flip - w_ident) / beta,
+        m_gamma_beta=beta / (beta + 2 * min(P.weight(RESET0), P.weight(RESET1))),
     )
 
 

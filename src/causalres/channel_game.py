@@ -24,7 +24,6 @@ from .core import (
     to_stochastic,
 )
 from .errors import SizeMismatch, ZeroMarginal
-from .rtcaus import is_free_function
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,19 @@ def guessing_probability(
 def posterior_causal_connection(P: FunctionDistribution, y: int) -> Rational:
     """Posterior weight on the nonconstant functions after observing y.
 
-    The prior is uniform. It weights each input alike, so each function's
-    weight counts once per input it sends to y.
+    The prior is uniform, so each function's weight counts once per input it
+    sends to y. Identity and flip each send one input to y, the reset to y
+    sends both and the other reset none: the posterior is
+    beta / (beta + 2 w(R_y)) with beta = w_I + w_F.
     """
     _require_bits(P)
     if y not in (0, 1):
         raise ValueError(f"output {y!r} is not a bit")
-    connected = ZERO
-    marginal = ZERO
-    for f, w in P.items():
-        hit = w * f.outputs.count(y)
-        marginal += hit
-        if not is_free_function(f):
-            connected += hit
+    beta = P.weight(IDENT) + P.weight(FLIP)
+    marginal = beta + 2 * P.weight(RESET1 if y else RESET0)
     if marginal == ZERO:
         raise ZeroMarginal(f"output {y} has zero marginal under this prior")
-    return connected / marginal
+    return beta / marginal
 
 
 def max_postselected_connection(P: FunctionDistribution) -> Rational:

@@ -12,7 +12,7 @@ Resource file format, one JSON object per line:
     {"map": [0, 0], "prob": "2/3"}
 
 A header line opens a resource; the following entry lines list its support.
-A header line carries no entry of its own.
+Each line has exactly the keys of a header or of an entry.
 Probabilities must be strings (exactness does not survive JSON numbers):
 an integer, a/b or a decimal, with no exponent.
 """
@@ -90,21 +90,18 @@ def parse_resource_file(text: str) -> Resources:
             obj = json.loads(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {lineno}: expected an object")
-        if "name" in obj:
-            if "map" in obj or "prob" in obj:
-                raise ValueError(f"line {lineno}: a header line cannot carry an entry")
-            name = obj.get("name")
+        keys = sorted(obj) if isinstance(obj, dict) else "no object"
+        if keys == ["codomain", "domain", "name"]:
+            name = obj["name"]
             if not isinstance(name, str) or not name:
                 raise ValueError(f"line {lineno}: resource name must be a string")
             if name in opened:
                 raise DuplicateName(f"line {lineno}: duplicate resource {name!r}")
-            sizes = (obj.get("domain"), obj.get("codomain"))
+            sizes = (obj["domain"], obj["codomain"])
             for label, size in zip(("domain", "codomain"), sizes):
                 alphabet_size(size, f"resource {name!r} line {lineno}: {label}")
             opened[name] = (*sizes, [])
-        elif "map" in obj:
+        elif keys == ["map", "prob"]:
             if not opened:
                 raise ValueError(f"line {lineno}: support entry before any resource header")
             name = next(reversed(opened))
@@ -115,7 +112,7 @@ def parse_resource_file(text: str) -> Resources:
                 f = FiniteFunction(domain, codomain, obj["map"])
             except (TypeError, ValueError) as exc:
                 raise TableOutOfRange(f"{where}: {exc}") from None
-            prob = obj.get("prob")
+            prob = obj["prob"]
             if not isinstance(prob, str):
                 raise MalformedWeight(f"{where}: prob must be a fraction string")
             try:
@@ -126,7 +123,10 @@ def parse_resource_file(text: str) -> Resources:
                 raise MalformedWeight(f"{where}: negative probability {prob!r}")
             entries.append((f, weight))
         else:
-            raise ValueError(f"line {lineno}: object is neither a header nor an entry")
+            raise ValueError(
+                f"line {lineno}: expected the keys of a header (codomain, domain, name)"
+                f" or of an entry (map, prob), found {keys}"
+            )
     resources: Resources = []
     for name, (domain, codomain, entries) in opened.items():
         try:

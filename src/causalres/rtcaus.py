@@ -51,10 +51,11 @@ def caus_monotone(f: FiniteFunction) -> InfluenceBits:
 def conversion_witness(f: FiniteFunction, g: FiniteFunction) -> DeterministicWitness:
     """Build and verify a deterministic witness taking f to g.
 
-    The construction factors f and g through their images (enumerated
-    ascending), embeds the image of g into the image of f by index, and
-    collapses everything outside an image onto its smallest member. The
-    composed table is checked against g before returning.
+    With im f and im g enumerated ascending, pre sends x to the smallest
+    input that f maps onto f_image[k], where k is the index of g(x) in
+    g_image. post sends the k-th element of f_image to the k-th element of
+    g_image for k < |im g|, and every other output to the smallest element
+    of im g. The composed table is checked against g before returning.
     """
     if not caus_convertible(f, g):
         raise NotConvertible(
@@ -62,28 +63,17 @@ def conversion_witness(f: FiniteFunction, g: FiniteFunction) -> DeterministicWit
         )
     f_image = f.image()
     g_image = g.image()
-
-    # Right inverse of the surjective part of f: index k of the image goes to
-    # the smallest input that f maps onto f_image[k].
-    first_preimage = [
-        min(x for x in range(f.domain_size) if f.outputs[x] == z) for z in f_image
-    ]
-    g_index = {z: k for k, z in enumerate(g_image)}
     pre = FiniteFunction(
         g.domain_size,
         f.domain_size,
-        tuple(first_preimage[g_index[g.outputs[x]]] for x in range(g.domain_size)),
+        tuple(f.outputs.index(f_image[g_image.index(z)]) for z in g.outputs),
     )
-
-    # Left inverse of the injective part of f, then the left inverse of the
-    # index embedding, then the injective part of g. Points with no natural
-    # preimage collapse to index 0.
-    f_index = {z: k for k, z in enumerate(f_image)}
-    post_outputs = []
-    for y in range(f.codomain_size):
-        k = f_index.get(y, 0)
-        post_outputs.append(g_image[k] if k < len(g_image) else g_image[0])
-    post = FiniteFunction(f.codomain_size, g.codomain_size, tuple(post_outputs))
+    rank = {z: k for k, z in enumerate(f_image[: len(g_image)])}
+    post = FiniteFunction(
+        f.codomain_size,
+        g.codomain_size,
+        tuple(g_image[rank.get(y, 0)] for y in range(f.codomain_size)),
+    )
 
     rebuilt = compose_functions(post, compose_functions(f, pre))
     if rebuilt != g:

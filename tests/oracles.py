@@ -60,6 +60,28 @@ def witness_search(f, f_cod, g, g_cod, f_dom=None, g_dom=None):
     return None
 
 
+def expected_witness(f, f_cod, g):
+    """The (pre, post) tables that the witness rule for f -> g documents.
+
+    With both images sorted, pre sends x to the smallest input that f maps
+    onto the output of f ranked like g(x) in the image of g. post sends the
+    k-th output of f to the k-th output of g while g has one, and every
+    other letter to the smallest output of g.
+    """
+    f_image = sorted(set(f))
+    g_image = sorted(set(g))
+    pre = tuple(
+        min(x for x, out in enumerate(f) if out == f_image[g_image.index(z)]) for z in g
+    )
+    post = []
+    for y in range(f_cod):
+        if y in f_image and f_image.index(y) < len(g_image):
+            post.append(g_image[f_image.index(y)])
+        else:
+            post.append(g_image[0])
+    return pre, tuple(post)
+
+
 def pushforward(dist: dict, pre, post) -> dict:
     out: dict = {}
     for table, w in dist.items():

@@ -111,6 +111,10 @@ def test_guessing_reads_only_the_support():
 @settings(max_examples=80)
 @given(bit_distributions(), st.sampled_from((0, 1)))
 @example(FunctionDistribution.point(RESET0), 1)
+@example(bits(0, 0, F(1, 3), F(2, 3)), 0)
+@example(bits(0, 0, F(1, 3), F(2, 3)), 1)
+@example(bits(F(1, 4), F(3, 4), 0, 0), 0)
+@example(bits(F(1, 4), F(3, 4), 0, 0), 1)
 def test_posterior_matches_the_oracle(P, y):
     try:
         expected = oracles.posterior_connected(as_dict(P), y)
@@ -155,6 +159,18 @@ def test_best_postselection_on_the_named_resources():
 def test_full_connection_weight_forces_certainty():
     assert max_postselected_connection(BUILTIN["bit1"]) == 1
     assert max_postselected_connection(BUILTIN["bit3"]) == 1
+
+
+@settings(max_examples=80)
+@given(bit_distributions())
+def test_best_postselection_matches_the_oracle(P):
+    observable = []
+    for y in (0, 1):
+        try:
+            observable.append(oracles.posterior_connected(as_dict(P), y))
+        except ZeroDivisionError:
+            continue
+    assert max_postselected_connection(P) == max(observable)
 
 
 @settings(max_examples=80)

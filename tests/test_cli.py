@@ -77,20 +77,20 @@ def test_parse_rejects_malformed_tables(table):
 
 
 @pytest.mark.parametrize(
-    "header",
+    "header, message",
     [
-        '{"name": "second", "domain": true, "codomain": 2}',
-        '{"name": "second", "domain": 2, "codomain": "2"}',
-        '{"name": "second", "domain": 0, "codomain": 2}',
-        '{"name": "second", "domain": 2}',
-        '{"name": "", "domain": 2, "codomain": 2}',
-        '{"name": 5, "domain": 2, "codomain": 2}',
+        ('{"name": "second", "domain": true, "codomain": 2}', " must be "),
+        ('{"name": "second", "domain": 2, "codomain": "2"}', " must be "),
+        ('{"name": "second", "domain": 0, "codomain": 2}', " must be "),
+        ('{"name": "second", "domain": 2}', r" found \['domain', 'name'\]$"),
+        ('{"name": "", "domain": 2, "codomain": 2}', " must be "),
+        ('{"name": 5, "domain": 2, "codomain": 2}', " must be "),
     ],
     ids=["bool-size", "string-size", "zero-size", "missing-size", "empty-name", "number-name"],
 )
-def test_parse_rejects_malformed_headers(header):
+def test_parse_rejects_malformed_headers(header, message):
     text = BIT4_TEXT + header + "\n"
-    with pytest.raises(ValueError, match="line 4: .* must be ") as err:
+    with pytest.raises(ValueError, match="line 4: .*" + message) as err:
         parse_resource_file(text)
     assert type(err.value) is ValueError
 
@@ -113,19 +113,63 @@ def test_parse_names_the_line_of_a_malformed_object(line):
     assert type(err.value) is ValueError
 
 
+KEYS_EXPECTED = (
+    "expected the keys of a header (codomain, domain, name) or of an entry (map, prob)"
+)
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [{"map": [1, 1], "prob": "1"}, {"map": [1, 1]}, {"prob": "1"}],
+    "entry, found",
+    [
+        ({"map": [1, 1], "prob": "1"}, "['codomain', 'domain', 'map', 'name', 'prob']"),
+        ({"map": [1, 1]}, "['codomain', 'domain', 'map', 'name']"),
+        ({"prob": "1"}, "['codomain', 'domain', 'name', 'prob']"),
+    ],
     ids=["map-and-prob", "map", "prob"],
 )
-def test_a_header_line_cannot_carry_an_entry(monkeypatch, capsys, entry):
+def test_a_header_line_cannot_carry_an_entry(monkeypatch, capsys, entry, found):
     header = json.dumps({"name": "a", "domain": 2, "codomain": 2, **entry})
     text = f'{header}\n{{"map": [0, 1], "prob": "1"}}\n'
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, "monotones", "-")
     assert code == 2
     assert out == ""
-    assert err == "error: line 1: a header line cannot carry an entry\n"
+    assert err == f"error: line 1: {KEYS_EXPECTED}, found {found}\n"
+
+
+@pytest.mark.parametrize(
+    "header, entry, lineno, found",
+    [
+        (
+            {"name": "a", "domain": 2, "codomain": 2, "extra": 1},
+            {"map": [0, 1], "prob": "1"},
+            1,
+            "['codomain', 'domain', 'extra', 'name']",
+        ),
+        (
+            {"name": "a", "domain": 2, "codomain": 2},
+            {"map": [0, 1], "prob": "1", "probb": "1/2"},
+            2,
+            "['map', 'prob', 'probb']",
+        ),
+        (
+            {"name": "a", "domain": 2, "codomain": 2},
+            {"map": [0, 1], "prob": "1", "codomain": 3},
+            2,
+            "['codomain', 'map', 'prob']",
+        ),
+    ],
+    ids=["header-extra", "entry-probb", "entry-codomain"],
+)
+def test_a_line_with_an_unknown_key_is_refused(
+    monkeypatch, capsys, header, entry, lineno, found
+):
+    text = f"{json.dumps(header)}\n{json.dumps(entry)}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "monotones", "-")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {lineno}: {KEYS_EXPECTED}, found {found}\n"
 
 
 def test_parse_rejects_numeric_probabilities():

@@ -19,7 +19,7 @@ from causalres import (
     image_size,
     is_free_function,
 )
-from oracles import witness_search
+from oracles import all_tables, expected_witness, witness_search
 from strategies import function_chains, functions, sized_functions
 
 
@@ -117,3 +117,24 @@ def test_image_rule_matches_exhaustive_search_on_small_alphabets():
                 f.outputs, f.codomain_size, g.outputs, g.codomain_size
             )
             assert caus_convertible(f, g) == (found is not None)
+
+
+def test_witness_follows_the_documented_tie_breaking():
+    # The pool of acceptance criterion 9: every table with alphabets of at
+    # most three letters.
+    pool = [
+        FiniteFunction(d, c, table)
+        for d in (1, 2, 3)
+        for c in (1, 2, 3)
+        for table in all_tables(d, c)
+    ]
+    checked = 0
+    for f in pool:
+        for g in pool:
+            if image_size(f) < image_size(g):
+                continue
+            witness = conversion_witness(f, g)
+            expected = expected_witness(f.outputs, f.codomain_size, g.outputs)
+            assert (witness.pre.outputs, witness.post.outputs) == expected, (f, g)
+            checked += 1
+    assert checked == 2260
