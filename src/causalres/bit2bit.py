@@ -144,12 +144,21 @@ def monotone_triple(P: FunctionDistribution) -> MonotoneTriple:
 
 
 def canonical_form(P: FunctionDistribution) -> CanonicalForm:
-    """Forget the signs of alpha and gamma; both are freely flippable."""
-    params = parametrize(P)
+    """Forget the signs of alpha and gamma; both are freely flippable.
+
+    Read off the four weights: |alpha| = |w_F - w_I| / beta, beta = w_I + w_F
+    and |gamma| = |w_R1 - w_R0| / (1 - beta).
+    """
+    _require_bits(P)
+    w_ident = P.weight(IDENT)
+    w_flip = P.weight(FLIP)
+    beta = w_ident + w_flip
     return CanonicalForm(
-        abs_alpha=None if params.alpha is None else abs(params.alpha),
-        beta=params.beta,
-        abs_gamma=None if params.gamma is None else abs(params.gamma),
+        abs_alpha=abs(w_flip - w_ident) / beta if beta > 0 else None,
+        beta=beta,
+        abs_gamma=(
+            abs(P.weight(RESET1) - P.weight(RESET0)) / (ONE - beta) if beta < 1 else None
+        ),
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -177,6 +178,14 @@ def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistributi
     )
 
 
+def _getter(positions: tuple[int, ...]) -> itemgetter:
+    """Read a table at positions as a tuple, a one-position read included."""
+    if len(positions) == 1:
+        # itemgetter with one index returns the bare item, not a 1-tuple.
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 def _distinct_images(
     P: FunctionDistribution,
     tgt_domain: int,
@@ -191,44 +200,54 @@ def _distinct_images(
     an image's key is its sorted (output table, numerator) pairs. Tables of
     one signature sort like the natural order of their functions, so keys
     compare and sort like `FunctionDistribution.items()`. Each pre is
-    composed with the support tables once, and a pre that yields the same
-    composed tables as an earlier one can only repeat its images, so it is
-    skipped. Only posts that keep every composed table inside the axis are
-    built: each source letter takes only the values the axis allows at every
-    position where a composed table reads it, and a letter no table reads
-    stays at 0, which changes no image and is where the first post of each
-    image has it. Returns den and an iterator of (key, pre table, post
-    table) for the first comb of each new key, in comb order; the budget is
-    checked before this returns. `_image` builds the distribution of a key.
+    composed with the support tables through one getter, and a pre that
+    yields the same composed tables, in support order, as an earlier one can
+    only repeat its images, so it is skipped. Only posts that keep every
+    composed table inside the axis are built: each source letter takes only
+    the values the axis allows at every position where a composed table
+    reads it, and a letter no table reads stays at 0, which changes no image
+    and is where the first post of each image has it. A letter's reading
+    positions are a bit mask, and the values allowed for each mask are
+    worked out once per walk. Each composed table gets one getter, which
+    composes it with every post of its pre. Returns den and an iterator of
+    (key, pre table, post table) for the first comb of each new key, in comb
+    order; the budget is checked before this returns. `_image` builds the
+    distribution of a key.
     """
     _check_comb_budget(P.domain_size, P.codomain_size, tgt_domain, tgt_codomain, budget)
     den = lcm(*(w.denominator for _, w in P.items()))
-    support = [(f.outputs, w.numerator * (den // w.denominator)) for f, w in P.items()]
+    tables = [f.outputs for f in P.functions()]
+    numerators = [w.numerator * (den // w.denominator) for _, w in P.items()]
     on_axis = set(
         product(range(tgt_codomain), repeat=tgt_domain) if axis is None else axis
     )
     columns = [frozenset(col) for col in zip(*on_axis)]
+    bits = [1 << x for x in range(tgt_domain)]
+    allowed: dict[int, tuple[int, ...]] = {0: (0,)}
+
+    def values(mask: int) -> tuple[int, ...]:
+        if mask not in allowed:
+            read = (col for col, bit in zip(columns, bits) if mask & bit)
+            allowed[mask] = tuple(sorted(frozenset.intersection(*read)))
+        return allowed[mask]
 
     def images() -> Iterator[tuple]:
         seen: set[tuple] = set()
         seen_mids: set[tuple] = set()
         for pre in product(range(P.domain_size), repeat=tgt_domain):
-            mids = tuple(sorted((tuple(t[x] for x in pre), n) for t, n in support))
+            mids = tuple(map(_getter(pre), tables))
             if mids in seen_mids:
                 continue
             seen_mids.add(mids)
-            reads: list[set[int]] = [set() for _ in range(P.codomain_size)]
-            for mid, _ in mids:
-                for x, m in enumerate(mid):
-                    reads[m].add(x)
-            choices = [
-                sorted(frozenset.intersection(*(columns[x] for x in xs))) if xs else (0,)
-                for xs in reads
-            ]
-            for post in product(*choices):
+            masks = [0] * P.codomain_size
+            for mid in mids:
+                for bit, m in zip(bits, mid):
+                    masks[m] |= bit
+            getters = [(_getter(mid), n) for mid, n in zip(mids, numerators)]
+            for post in product(*map(values, masks)):
                 acc: dict[tuple[int, ...], int] = {}
-                for mid, n in mids:
-                    out = tuple(map(post.__getitem__, mid))
+                for get, n in getters:
+                    out = get(post)
                     if out not in on_axis:
                         break
                     acc[out] = acc.get(out, 0) + n

@@ -166,6 +166,35 @@ def test_canonical_form_of_the_identity_point():
     assert canonical_form(P) == CanonicalForm(F(1), F(1), None)
 
 
+def form_through_parametrize(P: FunctionDistribution) -> CanonicalForm:
+    params = parametrize(P)
+    return CanonicalForm(
+        None if params.alpha is None else abs(params.alpha),
+        params.beta,
+        None if params.gamma is None else abs(params.gamma),
+    )
+
+
+BIT_BUILTINS = [
+    name
+    for name, dist in BUILTIN.items()
+    if (dist.domain_size, dist.codomain_size) == (2, 2)
+]
+
+
+@pytest.mark.parametrize("name", BIT_BUILTINS)
+def test_canonical_form_of_a_builtin_matches_its_parameters(name):
+    assert len(BIT_BUILTINS) == 16
+    P = BUILTIN[name]
+    assert canonical_form(P) == form_through_parametrize(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_distributions())
+def test_canonical_form_matches_the_parameters(P):
+    assert canonical_form(P) == form_through_parametrize(P)
+
+
 # the extremal-operation catalog, item by item
 
 

@@ -717,14 +717,12 @@ def test_random_four_letter_pair_decides_within_a_minute():
 
 
 SIGNATURES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+# A one-position target composes through one-index reads, which must still
+# give 1-tuples.
+TARGETS = SIGNATURES + [(1, 2), (1, 3)]
 
 
-@pytest.mark.parametrize("tgt", SIGNATURES, ids=lambda s: f"to{s[0]}{s[1]}")
-@pytest.mark.parametrize("src", SIGNATURES, ids=lambda s: f"from{s[0]}{s[1]}")
-@settings(max_examples=4, deadline=None)
-@given(data=st.data())
-def test_image_kernel_matches_the_comb_by_comb_reference(src, tgt, data):
-    P = data.draw(distributions(*src, max_support=3))
+def assert_kernel_matches_the_comb_by_comb_reference(P, tgt):
     den, images = _distinct_images(P, *tgt, DEFAULT_COMB_BUDGET)
     got = [(key, _image(*tgt, den, key), pre, post) for key, pre, post in images]
     expected = [
@@ -737,6 +735,21 @@ def test_image_kernel_matches_the_comb_by_comb_reference(src, tgt, data):
         for image, comb in oracles.comb_by_comb_images(P, *tgt)
     ]
     assert got == expected
+
+
+@pytest.mark.parametrize("tgt", TARGETS, ids=lambda s: f"to{s[0]}{s[1]}")
+@pytest.mark.parametrize("src", SIGNATURES, ids=lambda s: f"from{s[0]}{s[1]}")
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_image_kernel_matches_the_comb_by_comb_reference(src, tgt, data):
+    P = data.draw(distributions(*src, max_support=3))
+    assert_kernel_matches_the_comb_by_comb_reference(P, tgt)
+
+
+def test_image_kernel_walks_a_wide_source_to_one_letter():
+    # 300 source letters: a pre coded one letter to a byte could not name them.
+    P = tables(300, 2, {(0, 1) * 150: "1/2", (0,) * 300: "1/2"})
+    assert_kernel_matches_the_comb_by_comb_reference(P, (1, 2))
 
 
 def assert_verdict_matches_the_reference(P, Q):
@@ -790,7 +803,7 @@ def filtered_reference(P, dom: int, cod: int, axis: set, den: int) -> list:
     ]
 
 
-@pytest.mark.parametrize("tgt", SIGNATURES, ids=lambda s: f"to{s[0]}{s[1]}")
+@pytest.mark.parametrize("tgt", TARGETS, ids=lambda s: f"to{s[0]}{s[1]}")
 @pytest.mark.parametrize("src", SIGNATURES, ids=lambda s: f"from{s[0]}{s[1]}")
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
