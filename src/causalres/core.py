@@ -158,7 +158,11 @@ class ExactDistribution:
         pairs = list(support.items() if isinstance(support, Mapping) else support)
         acc: dict = {}
         for (outcome, _), w in zip(pairs, probability_vector((raw for _, raw in pairs), "weight")):
-            acc[outcome] = acc.get(outcome, ZERO) + w
+            # Only a repeat is added, so a first weight costs no addition.
+            if outcome in acc:
+                acc[outcome] += w
+            else:
+                acc[outcome] = w
         self._check_outcomes(acc)
         object.__setattr__(self, "_support", acc)
         object.__setattr__(

@@ -11,7 +11,6 @@ over labeled resources all run on the exact LP in `exactlp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations, product
 from math import lcm
 from operator import itemgetter
@@ -153,28 +152,36 @@ def enumerate_extremal_combs(
 
 
 def apply_extremal(comb: ExtremalComb, P: FunctionDistribution) -> FunctionDistribution:
-    """Pushforward of P along f -> post . f . pre.
-
-    Every f shares P's sizes, so `compose_functions` refuses a comb of the
-    wrong sizes on the first pair.
-    """
-    return FunctionDistribution(
-        comb.pre.domain_size,
-        comb.post.codomain_size,
-        (
-            (compose_functions(comb.post, compose_functions(f, comb.pre)), w)
-            for f, w in P.items()
-        ),
-    )
+    """Pushforward of P along f -> post . f . pre: the mixture of one comb."""
+    return apply_mixture(CombMixture.point(comb), P)
 
 
 def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistribution:
-    """Weighted pushforward; convexity of the weights keeps it normalized."""
+    """Weighted pushforward; convexity of the weights keeps it normalized.
+
+    The combs of m share one signature and every f shares P's sizes, so
+    `compose_functions` on the first (comb, f) pair refuses a comb of the
+    wrong sizes for all of them. Every pair's table is then composed by
+    indexing, post[f[pre[x]]], with an integer numerator over one
+    denominator, the lcm of m's denominators times the lcm of P's;
+    numerators of one table add up as integers, and the distribution built
+    from the sums checks their exact total.
+    """
     first = m.items()[0][0]
+    compose_functions(first.post, compose_functions(P.functions()[0], first.pre))
+    m_den = lcm(*(w.denominator for _, w in m.items()))
+    p_den = lcm(*(w.denominator for _, w in P.items()))
+    tables = [(f.outputs, w.numerator * (p_den // w.denominator)) for f, w in P.items()]
+    acc: dict[tuple[int, ...], int] = {}
+    for comb, w in m.items():
+        n = w.numerator * (m_den // w.denominator)
+        pre, post = comb.pre.outputs, comb.post.outputs
+        for table, k in tables:
+            out = tuple([post[table[x]] for x in pre])
+            acc[out] = acc.get(out, 0) + n * k
+    d, c, den = first.pre.domain_size, first.post.codomain_size, m_den * p_den
     return FunctionDistribution(
-        first.pre.domain_size,
-        first.post.codomain_size,
-        ((f, w * p) for comb, w in m.items() for f, p in apply_extremal(comb, P).items()),
+        d, c, ((FiniteFunction(d, c, t), Rational(k, den)) for t, k in acc.items())
     )
 
 
@@ -277,19 +284,29 @@ def _hull_weights(
     denominator den; a target with weights off den's grid has non-integer
     numerators. A mixture of nonnegative points puts weight only where the
     target does, so callers pass only points supported inside supp(target),
-    and the target's tables are the whole axis of the LP.
+    and the target's tables are the whole axis of the LP. Each coordinate
+    of a convex combination lies between its points' extremes, so no
+    points, or a target numerator above every point's or below every
+    point's on one table, refutes the test on the keys, before the LP. A
+    target that the points can mix passes every such bound, so its pivots
+    and weights are untouched.
     """
     points = list(point_keys)
+    if not points:
+        return None
     coords = [dict(key) for key in points]
+    columns = []
+    for t, n in target_key:
+        column = [p.get(t, 0) for p in coords]
+        if n > max(column) or n < min(column):
+            return None
+        columns.append(column)
     # The numerators go in without dividing by den. This needs every point
     # supported inside the target's tables: its numerators then sum to den,
     # as do the target's, so the coordinate rows sum to den times the
     # normalization row, the phase-1 costs are a positive multiple of those
     # over den, and the pivots and weights are the same.
-    weights = convex_weights(
-        [[p.get(t, 0) for t, _ in target_key] for p in coords],
-        [n for _, n in target_key],
-    )
+    weights = convex_weights(list(zip(*columns)), [n for _, n in target_key])
     if weights is None:
         return None
     return {key: w for key, w in zip(points, weights) if w > 0}
@@ -306,8 +323,10 @@ def know_convertible(
     images of P under the extremal combs. A mixture equal to Q can use only
     images supported inside supp(Q), so the image search builds only those,
     with supp(Q)'s tables as its axis, and the deduplicated images go to
-    the feasibility LP; images stay integer-coded keys all the way into the
-    LP, and combs are built as objects only for the certificate.
+    the hull test, which refutes on the keys what the coordinate bounds
+    decide and hands the rest to the feasibility LP; images stay
+    integer-coded keys all the way into the LP, and combs are built as
+    objects only for the certificate.
     A certificate comes from one of three routes: the identity comb when
     P == Q, the first comb whose image is Q (found without the LP), or the
     LP's mixture. Whichever route finds it, it is applied to P again and
@@ -401,24 +420,48 @@ def hasse(
     transitive, so that first label is also the first of its class, and it
     stands for the class in the cover test, which only needs to exclude
     two-step chains.
+
+    Verdicts are kept per distinct distribution, so equal resources under
+    two labels share them, and a pair is settled from verdicts already held
+    before `know_convertible` is asked: a -> m and m -> b give a -> b, while
+    m -> a without m -> b, or b -> m without a -> m, rule a -> b out. Every
+    resource reaches itself, but the first question, the first resource to
+    itself, is always asked, so the comb budget of the one signature is
+    checked as before.
     """
     labels = [label for label, _ in resources]
-    dists = [dist for _, dist in resources]
-    sizes = {(d.domain_size, d.codomain_size) for d in dists}
+    sizes = {(d.domain_size, d.codomain_size) for _, d in resources}
     if len(sizes) > 1:
         raise SizeMismatch(f"resources span several signatures: {sorted(sizes)}")
+    ids: dict[FunctionDistribution, int] = {}
+    nodes = [ids.setdefault(dist, len(ids)) for _, dist in resources]
+    distinct = list(ids)
+    known: list[list[Optional[bool]]] = [[None] * len(distinct) for _ in distinct]
 
-    @cache
-    def reaches(a: FunctionDistribution, b: FunctionDistribution) -> bool:
-        return know_convertible(a, b, budget=budget).convertible
+    def settled(a: int, b: int) -> bool:
+        if a == b and known[0][0]:
+            return True
+        for am, mb, ma, bm in zip(
+            known[a], (row[b] for row in known), (row[a] for row in known), known[b]
+        ):
+            if am and mb:
+                return True
+            if (ma and mb is False) or (bm and am is False):
+                return False
+        return know_convertible(distinct[a], distinct[b], budget=budget).convertible
+
+    def reaches(a: int, b: int) -> bool:
+        if known[a][b] is None:
+            known[a][b] = settled(a, b)
+        return known[a][b]
 
     def equivalent(i: int, j: int) -> bool:
-        return reaches(dists[i], dists[j]) and reaches(dists[j], dists[i])
+        return reaches(nodes[i], nodes[j]) and reaches(nodes[j], nodes[i])
 
-    first = [next(j for j in range(i + 1) if equivalent(i, j)) for i in range(len(dists))]
+    first = [next(j for j in range(i + 1) if equivalent(i, j)) for i in range(len(nodes))]
     reps = sorted(set(first))
     k = len(reps)
-    dominates = [[a != b and reaches(dists[a], dists[b]) for b in reps] for a in reps]
+    dominates = [[a != b and reaches(nodes[a], nodes[b]) for b in reps] for a in reps]
     edges = tuple(
         (a, b)
         for a in range(k)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -41,7 +42,12 @@ from causalres import (
 )
 from causalres import rtknowcaus
 from causalres.exactlp import convex_weights
-from causalres.rtknowcaus import _check_comb_budget, _distinct_images, _image
+from causalres.rtknowcaus import (
+    _check_comb_budget,
+    _distinct_images,
+    _hull_weights,
+    _image,
+)
 from strategies import (
     bit_distributions,
     distributions,
@@ -166,12 +172,21 @@ def test_flip_pre_swaps_the_connected_weights():
 
 
 def test_apply_extremal_rejects_incompatible_sizes():
-    for comb in (
-        ExtremalComb(pre=FiniteFunction.identity(3), post=IDENT),
-        ExtremalComb(pre=IDENT, post=FiniteFunction.identity(3)),
-    ):
+    wide = FiniteFunction.identity(3)
+    for comb in (ExtremalComb(pre=wide, post=IDENT), ExtremalComb(pre=IDENT, post=wide)):
         with pytest.raises(SizeMismatch):
             apply_extremal(comb, COIN)
+    # A pre misfit names the pre's codomain and P's domain, a post misfit
+    # P's codomain and the post's domain, on a mixture of several combs too.
+    for mixture, text in (
+        (CombMixture.point(ExtremalComb(pre=wide, post=IDENT)), "codomain 3 into domain 2"),
+        (
+            CombMixture({ExtremalComb(IDENT, wide): F(1, 2), ExtremalComb(FLIP, wide): F(1, 2)}),
+            "codomain 2 into domain 3",
+        ),
+    ):
+        with pytest.raises(SizeMismatch, match=f"^cannot chain {text}$"):
+            apply_mixture(mixture, COIN)
 
 
 def test_worked_mixture_reaches_bit5():
@@ -184,11 +199,6 @@ def test_worked_mixture_reaches_bit5():
     assert apply_mixture(mixture, BUILTIN["bit4"]) == BUILTIN["bit5"]
 
 
-def test_point_mixture_matches_apply_extremal():
-    comb = ExtremalComb(pre=RESET0, post=IDENT)
-    assert apply_mixture(CombMixture.point(comb), COIN) == apply_extremal(comb, COIN)
-
-
 def test_worked_mixture_reaches_bit8():
     mixture = CombMixture(
         {
@@ -199,8 +209,9 @@ def test_worked_mixture_reaches_bit8():
     assert apply_mixture(mixture, BUILTIN["bit7"]) == BUILTIN["bit8"]
 
 
-# Every exact weight is added up by the distribution type. The table-level
-# oracles add them up on their own, so these compare the two on inputs where
+# Mixtures of combs add up integer numerators, and composition and the
+# section leave the adding to the distribution type. The table-level oracles
+# add up `Fraction`s on their own, so these compare the two on inputs where
 # several supported functions land on one table.
 
 FOLD_SIGNATURES = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -210,8 +221,20 @@ def assert_no_zero_weight(P: FunctionDistribution) -> None:
     assert all(w > 0 for _, w in P.items())
 
 
+@st.composite
+def stick_weights(draw, parts: int) -> list[Fraction]:
+    """parts positive weights summing to 1, each cut off the rest by its own denominator."""
+    rest, weights = F(1), []
+    for _ in range(parts - 1):
+        den = draw(st.integers(2, 7))
+        weights.append(rest * F(draw(st.integers(1, den - 1)), den))
+        rest -= weights[-1]
+    return weights + [rest]
+
+
 @pytest.mark.parametrize("dom,cod", FOLD_SIGNATURES)
 def test_pushforwards_match_the_table_oracles(dom, cod):
+    # Comb weights have unlike denominators, and P's weights their own.
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def check(data):
@@ -222,18 +245,17 @@ def test_pushforwards_match_the_table_oracles(dom, cod):
                 st.tuples(
                     st.sampled_from(oracles.all_tables(tgt_dom, dom)),
                     st.sampled_from(oracles.all_tables(cod, tgt_cod)),
-                    st.integers(1, 6),
                 ),
                 min_size=1,
                 max_size=3,
             )
         )
         # A constant post sends the whole support of P to one table.
-        pairs.append((pairs[0][0], (0,) * cod, 1))
-        total = sum(n for _, _, n in pairs)
+        pairs.append((pairs[0][0], (0,) * cod))
+        weights = data.draw(stick_weights(len(pairs)))
         parts = []
         support = []
-        for pre, post, n in pairs:
+        for (pre, post), w in zip(pairs, weights):
             comb = ExtremalComb(
                 FiniteFunction(tgt_dom, dom, pre), FiniteFunction(cod, tgt_cod, post)
             )
@@ -241,8 +263,8 @@ def test_pushforwards_match_the_table_oracles(dom, cod):
             expected = oracles.pushforward(as_dict(P), pre, post)
             assert_no_zero_weight(image)
             assert as_dict(image) == expected
-            parts.append((F(n, total), expected))
-            support.append((comb, F(n, total)))
+            parts.append((w, expected))
+            support.append((comb, w))
         mixed = apply_mixture(CombMixture(support), P)
         assert_no_zero_weight(mixed)
         assert as_dict(mixed) == oracles.mix(parts)
@@ -501,6 +523,67 @@ def test_hasse_matches_the_monotone_preorder(dists):
     assert graph.edges == tuple(sorted(cover))
 
 
+def full_matrix_hasse(resources) -> HasseGraph:
+    """The Hasse graph read off know_convertible on every ordered pair."""
+    dists = [dist for _, dist in resources]
+    n = len(dists)
+    reach = [[know_convertible(a, b).convertible for b in dists] for a in dists]
+    first = [next(j for j in range(n) if reach[i][j] and reach[j][i]) for i in range(n)]
+    reps = sorted(set(first))
+    k = len(reps)
+    strict = {(a, b) for a in range(k) for b in range(k) if a != b and reach[reps[a]][reps[b]]}
+    edges = tuple(
+        sorted(
+            (a, b)
+            for a, b in strict
+            if not any((a, c) in strict and (c, b) in strict for c in range(k))
+        )
+    )
+    classes = tuple(
+        tuple(label for (label, _), r in zip(resources, first) if r == rep) for rep in reps
+    )
+    return HasseGraph(classes, edges)
+
+
+@st.composite
+def labeled_resource_lists(draw):
+    """1 to 6 labeled 2->2 or 2->3 resources: labels repeat, and so do distributions."""
+    cod = draw(st.sampled_from([2, 3]))
+    pool_size, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(distributions(2, cod, max_support=3), min_size=pool_size, max_size=pool_size)
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.sampled_from(pool)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_resource_lists())
+def test_hasse_matches_the_full_verdict_matrix(resources):
+    assert hasse(resources) == full_matrix_hasse(resources)
+
+
+def test_hasse_settles_bit_pairs_by_transitivity(monkeypatch):
+    resources = [(n, P) for n, P in BUILTIN.items() if P.domain_size == 2]
+    assert len(resources) == 16
+    asked = []
+
+    def counted(P, Q, budget=DEFAULT_COMB_BUDGET):
+        asked.append((P, Q))
+        return know_convertible(P, Q, budget=budget)
+
+    monkeypatch.setattr(rtknowcaus, "know_convertible", counted)
+    assert hasse(resources) == full_matrix_hasse(resources)
+    assert len(asked) < 196
+    assert len(set(asked)) == len(asked)
+
+
 def test_conversion_is_transitive_on_samples():
     rng = random.Random(21)
     checked = 0
@@ -678,6 +761,64 @@ def test_hull_lps_pivot_alike_on_numerators_and_on_fractions(dom, cod, examples)
                 assert_integer_rows_give_the_same_weights(key, others, den)
 
     check()
+
+
+@st.composite
+def hull_keys(draw):
+    """A target key and distinct point keys supported inside it, over one den.
+
+    Each key gives den units to its tables. Half the targets are mixed from
+    the points, so their numerators may be fractions; a mixed target's
+    support can be smaller than the tables drawn, and points outside it are
+    dropped, as callers do.
+    """
+    den = draw(st.integers(1, 6))
+    tables = [(t,) for t in range(draw(st.integers(1, 4)))]
+    keys = st.lists(st.sampled_from(tables), min_size=den, max_size=den).map(
+        lambda picks: tuple(sorted(Counter(picks).items()))
+    )
+    points = draw(st.lists(keys, max_size=6, unique=True))
+    if points and draw(st.booleans()):
+        parts = draw(
+            st.lists(st.tuples(st.sampled_from(points), st.integers(1, 4)), min_size=1, max_size=3)
+        )
+        total = sum(w for _, w in parts)
+        mixed: dict[tuple, Fraction] = {}
+        for key, w in parts:
+            for t, n in key:
+                mixed[t] = mixed.get(t, F(0)) + F(w * n, total)
+        target = tuple(sorted(mixed.items()))
+    else:
+        target = draw(keys)
+    support = {t for t, _ in target}
+    return target, [p for p in points if support.issuperset(t for t, _ in p)]
+
+
+# An empty point list; a target above every point on table (0,); a target
+# below every point on table (0,) and inside the points' range elsewhere;
+# and a mixed target that meets every point on table (0,), which a
+# refutation on the bounds themselves would wrongly refuse.
+@example(((((0,), 1),), []))
+@example(((((0,), 2), ((1,), 1)), [(((0,), 1), ((1,), 2)), (((1,), 3),)]))
+@example((
+    (((0,), 1), ((1,), 1), ((2,), 1)),
+    [(((0,), 2), ((1,), 1)), (((0,), 2), ((2,), 1))],
+))
+@example((
+    (((0,), F(1)), ((1,), F(1, 2)), ((2,), F(1, 2))),
+    [(((0,), 1), ((1,), 1)), (((0,), 1), ((2,), 1))],
+))
+@settings(max_examples=300, deadline=None)
+@given(hull_keys())
+def test_hull_bounds_refute_only_what_the_lp_refutes(question):
+    target, points = question
+    den = sum(n for _, n in target)
+    weights = oracles.fraction_tableau_weights(
+        [[F(dict(p).get(t, 0), den) for t, _ in target] for p in points],
+        [F(n, den) for _, n in target],
+    )
+    expected = None if weights is None else {p: w for p, w in zip(points, weights) if w > 0}
+    assert _hull_weights(target, points) == expected
 
 
 @pytest.mark.parametrize("dom,cod", [(2, 3), (3, 2)])
