@@ -94,11 +94,13 @@ class CanonicalForm:
     abs_gamma: Optional[Rational]
 
 
-def _require_bits(P: FunctionDistribution) -> None:
+def _bit_weights(P: FunctionDistribution) -> tuple[Rational, Rational, Rational, Rational]:
+    """(w_I, w_F, w_R0, w_R1), or `SizeMismatch` unless P is bit-to-bit."""
     if (P.domain_size, P.codomain_size) != (2, 2):
         raise SizeMismatch(
             f"bit-to-bit operation on a {P.domain_size}->{P.codomain_size} resource"
         )
+    return P.weight(IDENT), P.weight(FLIP), P.weight(RESET0), P.weight(RESET1)
 
 
 def bit_resource(
@@ -110,14 +112,10 @@ def bit_resource(
 
 def parametrize(P: FunctionDistribution) -> BitParams:
     """Read the (alpha, beta, gamma) coordinates off the four weights."""
-    _require_bits(P)
-    w_ident = P.weight(IDENT)
-    w_flip = P.weight(FLIP)
+    w_ident, w_flip, w_reset0, w_reset1 = _bit_weights(P)
     beta = w_ident + w_flip
     alpha = (w_flip - w_ident) / beta if beta > 0 else None
-    gamma = (
-        (P.weight(RESET1) - P.weight(RESET0)) / (ONE - beta) if beta < 1 else None
-    )
+    gamma = (w_reset1 - w_reset0) / (ONE - beta) if beta < 1 else None
     return BitParams(alpha=alpha, beta=beta, gamma=gamma)
 
 
@@ -130,16 +128,14 @@ def monotone_triple(P: FunctionDistribution) -> MonotoneTriple:
     beta / (beta + 2 min(w_R0, w_R1)): the posterior of causal connection
     after the output whose reset weighs less.
     """
-    _require_bits(P)
-    w_ident = P.weight(IDENT)
-    w_flip = P.weight(FLIP)
+    w_ident, w_flip, w_reset0, w_reset1 = _bit_weights(P)
     beta = w_ident + w_flip
     if beta == ZERO:
         return MonotoneTriple(m_beta=ZERO, m_abs_alpha=None, m_gamma_beta=ZERO)
     return MonotoneTriple(
         m_beta=beta,
         m_abs_alpha=abs(w_flip - w_ident) / beta,
-        m_gamma_beta=beta / (beta + 2 * min(P.weight(RESET0), P.weight(RESET1))),
+        m_gamma_beta=beta / (beta + 2 * min(w_reset0, w_reset1)),
     )
 
 
@@ -149,16 +145,12 @@ def canonical_form(P: FunctionDistribution) -> CanonicalForm:
     Read off the four weights: |alpha| = |w_F - w_I| / beta, beta = w_I + w_F
     and |gamma| = |w_R1 - w_R0| / (1 - beta).
     """
-    _require_bits(P)
-    w_ident = P.weight(IDENT)
-    w_flip = P.weight(FLIP)
+    w_ident, w_flip, w_reset0, w_reset1 = _bit_weights(P)
     beta = w_ident + w_flip
     return CanonicalForm(
         abs_alpha=abs(w_flip - w_ident) / beta if beta > 0 else None,
         beta=beta,
-        abs_gamma=(
-            abs(P.weight(RESET1) - P.weight(RESET0)) / (ONE - beta) if beta < 1 else None
-        ),
+        abs_gamma=abs(w_reset1 - w_reset0) / (ONE - beta) if beta < 1 else None,
     )
 
 
@@ -187,43 +179,35 @@ def table1_vertices(P: FunctionDistribution) -> list[FunctionDistribution]:
     """Candidate vertex list of the downward closure of P, deduplicated.
 
     The rows are P itself, the two resets, and the three sign-flip images
-    of P (alpha, both, gamma). A free resource has no alpha to flip and its
+    of P, read off its four weights: negating alpha swaps w_I and w_F,
+    negating both alpha and gamma swaps both pairs, and negating gamma
+    swaps w_R0 and w_R1. A free resource has no alpha to flip and its
     closure degenerates onto the reset segment, so only the resets remain.
     Coinciding rows are merged; reducing interior points away is the job of
     the general closure routine, not of this list.
     """
-    params = parametrize(P)
-    if params.beta == ZERO:
-        return [FunctionDistribution.point(RESET0), FunctionDistribution.point(RESET1)]
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    assert alpha is not None
-    flipped_gamma = None if gamma is None else -gamma
-    rows = [
-        P,
-        FunctionDistribution.point(RESET0),
-        FunctionDistribution.point(RESET1),
-        bit_resource(-alpha, beta, gamma),
-        bit_resource(-alpha, beta, flipped_gamma),
-        bit_resource(alpha, beta, flipped_gamma),
+    w_ident, w_flip, w_reset0, w_reset1 = _bit_weights(P)
+    resets = [FunctionDistribution.point(RESET0), FunctionDistribution.point(RESET1)]
+    if w_ident + w_flip == ZERO:
+        return resets
+    flips = [
+        FunctionDistribution(2, 2, {IDENT: i, FLIP: f, RESET0: r0, RESET1: r1})
+        for i, f, r0, r1 in (
+            (w_flip, w_ident, w_reset0, w_reset1),
+            (w_flip, w_ident, w_reset1, w_reset0),
+            (w_ident, w_flip, w_reset1, w_reset0),
+        )
     ]
-    return list(dict.fromkeys(rows))
-
-
-# Corners of a cube make a regular tetrahedron with rational coordinates.
-TETRA_VERTICES = {
-    IDENT: (ZERO, ZERO, ZERO),
-    FLIP: (ONE, ONE, ZERO),
-    RESET0: (ONE, ZERO, ONE),
-    RESET1: (ZERO, ONE, ONE),
-}
+    return list(dict.fromkeys([P, *resets, *flips]))
 
 
 def tetra_coords(P: FunctionDistribution) -> tuple[Rational, Rational, Rational]:
-    """Barycentric embedding of P into the fixed reference tetrahedron."""
-    _require_bits(P)
-    coords = [ZERO, ZERO, ZERO]
-    for f, w in P.items():
-        vertex = TETRA_VERTICES[f]
-        for i in range(3):
-            coords[i] += w * vertex[i]
-    return (coords[0], coords[1], coords[2])
+    """Barycentric embedding of P into a fixed regular tetrahedron.
+
+    Four corners of the unit cube make a regular tetrahedron with rational
+    coordinates: identity (0, 0, 0), flip (1, 1, 0), reset-to-0 (1, 0, 1)
+    and reset-to-1 (0, 1, 1). Weighting each corner by its function gives
+    (w_F + w_R0, w_F + w_R1, w_R0 + w_R1).
+    """
+    _, w_flip, w_reset0, w_reset1 = _bit_weights(P)
+    return (w_flip + w_reset0, w_flip + w_reset1, w_reset0 + w_reset1)

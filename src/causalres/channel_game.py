@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bit2bit import FLIP, IDENT, RESET0, RESET1, _require_bits
+from .bit2bit import FLIP, IDENT, RESET0, RESET1, _bit_weights, monotone_triple
 from .core import (
+    ONE,
     ZERO,
     FunctionDistribution,
     Rational,
     StochasticMap,
     alphabet_size,
-    canonical_preimage,
     probability_vector,
     to_stochastic,
 )
@@ -76,11 +76,11 @@ def posterior_causal_connection(P: FunctionDistribution, y: int) -> Rational:
     sends both and the other reset none: the posterior is
     beta / (beta + 2 w(R_y)) with beta = w_I + w_F.
     """
-    _require_bits(P)
+    w_ident, w_flip, w_reset0, w_reset1 = _bit_weights(P)
     if y not in (0, 1):
         raise ValueError(f"output {y!r} is not a bit")
-    beta = P.weight(IDENT) + P.weight(FLIP)
-    marginal = beta + 2 * P.weight(RESET1 if y else RESET0)
+    beta = w_ident + w_flip
+    marginal = beta + 2 * (w_reset1 if y else w_reset0)
     if marginal == ZERO:
         raise ZeroMarginal(f"output {y} has zero marginal under this prior")
     return beta / marginal
@@ -89,17 +89,14 @@ def posterior_causal_connection(P: FunctionDistribution, y: int) -> Rational:
 def max_postselected_connection(P: FunctionDistribution) -> Rational:
     """Best certainty of causal connection over observable outputs.
 
-    Uses the uniform prior. Outputs that cannot occur are skipped rather
-    than treated as vacuous certainty.
+    Uses the uniform prior, and is the connection monotone m_gamma_beta of
+    `monotone_triple`. When beta > 0 both outputs occur, and the posterior
+    beta / (beta + 2 w(R_y)) is largest after the output whose reset weighs
+    less: max over y equals beta / (beta + 2 min(w_R0, w_R1)). When beta = 0
+    every observable output's posterior is 0; an output that cannot occur
+    is not counted as vacuous certainty.
     """
-    best = ZERO
-    for y in (0, 1):
-        try:
-            value = posterior_causal_connection(P, y)
-        except ZeroMarginal:
-            continue
-        best = max(best, value)
-    return best
+    return monotone_triple(P).m_gamma_beta
 
 
 def ace(S: StochasticMap) -> Rational:
@@ -115,8 +112,8 @@ def ace_dist(P: FunctionDistribution) -> Rational:
     Equals the weight on the identity minus the weight on the flip, and
     agrees with `ace` of the induced conditional.
     """
-    _require_bits(P)
-    return P.weight(IDENT) - P.weight(FLIP)
+    w_ident, w_flip, _, _ = _bit_weights(P)
+    return w_ident - w_flip
 
 
 def min_beta_over_preimage(
@@ -124,27 +121,26 @@ def min_beta_over_preimage(
 ) -> tuple[Rational, FunctionDistribution]:
     """Least connection weight among resources inducing S, with a witness.
 
-    All resources inducing S differ only by sliding weight between the
-    balanced identity/flip mixture and the balanced reset mixture. Sliding
-    down as far as nonnegativity allows zeroes out the lighter of the two
-    nonconstant weights, and what remains of the connection weight is
-    exactly the absolute average causal effect of S.
+    With a = S(1|0) and b = S(1|1), a resource induces S exactly when
+    w_F + w_R1 = a and w_I + w_R1 = b, so w_I - w_F = b - a is the average
+    causal effect and the connection weight w_I + w_F is at least its
+    magnitude. The witness meets that bound: it puts max(ACE, 0) on the
+    identity, max(-ACE, 0) on the flip, 1 - max(a, b) on reset-to-0 and
+    min(a, b) on reset-to-1.
     """
-    bound = abs(ace(S))
-    base = canonical_preimage(S)
-    w_ident = base.weight(IDENT)
-    w_flip = base.weight(FLIP)
-    slide = min(w_ident, w_flip)
+    effect = ace(S)
+    a, b = S.entries[1]
     witness = FunctionDistribution(
         2,
         2,
         {
-            IDENT: w_ident - slide,
-            FLIP: w_flip - slide,
-            RESET0: base.weight(RESET0) + slide,
-            RESET1: base.weight(RESET1) + slide,
+            IDENT: max(effect, ZERO),
+            FLIP: max(-effect, ZERO),
+            RESET0: ONE - max(a, b),
+            RESET1: min(a, b),
         },
     )
+    bound = abs(effect)
     if to_stochastic(witness) != S:
         raise AssertionError("fiber witness left the preimage of S")
     if witness.weight(IDENT) + witness.weight(FLIP) != bound:

@@ -14,13 +14,15 @@ Resource file format, one JSON object per line:
 A header line opens a resource; the following entry lines list its support.
 Each line has exactly the keys of a header or of an entry.
 Probabilities must be strings (exactness does not survive JSON numbers):
-an integer, a/b or a decimal, with no exponent.
+an integer, a/b or a decimal in ASCII digits after an optional sign, with
+no exponent, underscore or surrounding space.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -64,10 +66,15 @@ EXIT_BUDGET = 3
 
 
 def _fraction(text: str) -> Fraction:
-    """An integer, a/b or a decimal. An exponent is refused: `Fraction`
-    expands "1e-10000000" into a ten-million-digit integer."""
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent in {text!r}")
+    """An optional sign, then an integer, a/b or a decimal, in ASCII digits.
+
+    Everything else `Fraction` would take is refused first: an exponent,
+    which it expands ("1e-10000000" into a ten-million-digit integer), and
+    the underscores, non-ASCII digits and surrounding whitespace it accepts,
+    some of them only on some Python versions.
+    """
+    if not re.fullmatch(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)", text):
+        raise ValueError(f"not a fraction: {text!r}")
     return Fraction(text)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from causalres import (
@@ -39,6 +39,10 @@ F = Fraction
 def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
     support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
     return FunctionDistribution(2, 2, support)
+
+
+def as_dict(P: FunctionDistribution) -> dict:
+    return {f.outputs: w for f, w in P.items()}
 
 
 def support_key(P: FunctionDistribution):
@@ -120,7 +124,7 @@ def test_monotones_of_the_named_resources():
 
 
 def as_oracle_triple(P: FunctionDistribution):
-    return oracles.monotone_triple({f.outputs: w for f, w in P.items()})
+    return oracles.monotone_triple(as_dict(P))
 
 
 @given(bit_distributions())
@@ -321,6 +325,27 @@ def test_vertices_of_bit4():
     )
 
 
+@given(bit_distributions())
+@example(bits(F(1, 3), F(2, 3), 0, 0))  # beta = 1: gamma is undefined
+@example(bits(F(1, 4), F(1, 4), F(1, 8), F(3, 8)))  # alpha = 0
+@example(bits(0, 0, F(1, 4), F(3, 4)))  # beta = 0
+def test_vertices_are_the_sign_flips_of_the_parameters(P):
+    alpha, beta, gamma = oracles.bit_params(as_dict(P))
+    if beta == 0:
+        rows = [{oracles.RESET0: 1}, {oracles.RESET1: 1}]
+    else:
+        rows = [
+            as_dict(P),
+            {oracles.RESET0: 1},
+            {oracles.RESET1: 1},
+            oracles.bit_weights(negate(alpha), beta, gamma),
+            oracles.bit_weights(negate(alpha), beta, negate(gamma)),
+            oracles.bit_weights(alpha, beta, negate(gamma)),
+        ]
+    expected = [row for i, row in enumerate(rows) if row not in rows[:i]]
+    assert [as_dict(V) for V in table1_vertices(P)] == expected
+
+
 # tetra_coords
 
 
@@ -337,6 +362,13 @@ def test_uniform_mixture_sits_at_the_centroid():
 def test_fair_coin_sits_on_the_connected_edge_midpoint():
     P = bits(F(1, 2), F(1, 2), 0, 0)
     assert tetra_coords(P) == (F(1, 2), F(1, 2), F(0))
+
+
+@given(bit_distributions())
+def test_tetra_coords_are_the_weighted_sum_of_the_corners(P):
+    corners = {IDENT: (0, 0, 0), FLIP: (1, 1, 0), RESET0: (1, 0, 1), RESET1: (0, 1, 1)}
+    expected = tuple(sum(w * corners[f][i] for f, w in P.items()) for i in range(3))
+    assert tetra_coords(P) == expected
 
 
 # cost construction, spot checks

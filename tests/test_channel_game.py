@@ -163,6 +163,9 @@ def test_full_connection_weight_forces_certainty():
 
 @settings(max_examples=80)
 @given(bit_distributions())
+@example(FunctionDistribution.point(RESET0))  # output 1 never occurs
+@example(bits(F(1, 4), F(3, 4), 0, 0))  # beta = 1
+@example(bits(F(1, 6), F(1, 3), F(1, 4), F(1, 4)))  # w_R0 = w_R1
 def test_best_postselection_matches_the_oracle(P):
     observable = []
     for y in (0, 1):
@@ -229,6 +232,11 @@ def test_fiber_minimum_recovers_bit4():
 
 
 @given(bit_distributions())
+@example(FunctionDistribution.point(IDENT))
+@example(FunctionDistribution.point(FLIP))
+@example(FunctionDistribution.point(RESET0))
+@example(FunctionDistribution.point(RESET1))
+@example(bits(F(1, 8), F(1, 8), F(1, 2), F(1, 4)))  # S(1|0) = S(1|1) = 3/8
 def test_connection_weight_dominates_the_ace(P):
     S = to_stochastic(P)
     bound, witness = min_beta_over_preimage(S)

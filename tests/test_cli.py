@@ -203,6 +203,21 @@ def test_parse_refuses_an_exponent_at_once():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "prob",
+    ["1_0/30", "\u0661/3", "\uff11/3", " 1/3", "1/3\n"],
+    ids=["underscore", "arabic-indic digit", "fullwidth digit", "leading space", "newline"],
+)
+def test_parse_accepts_only_ascii_digits_without_padding(monkeypatch, capsys, prob):
+    # Each of these is 1/3 to `Fraction` on some Python version.
+    text = BIT4_TEXT.replace('"1/3"', json.dumps(prob))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "monotones", "-")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: resource 'probe' line 2: cannot parse fraction {prob!r}\n"
+
+
 def test_parse_accepts_integers_fractions_and_decimals():
     text = BIT4_TEXT.replace('"1/3"', '"0.25"').replace('"2/3"', '"3/4"')
     [(_, dist)] = parse_resource_file(text)
@@ -367,7 +382,16 @@ def test_game_with_a_skewed_prior(capsys):
 
 @pytest.mark.parametrize(
     "prior",
-    ["1/2", "1/3,1/3,1/3", "half,half", "3/2,-1/2", "1/2,1/4", "1/2,1/0"],
+    [
+        "1/2",
+        "1/3,1/3,1/3",
+        "half,half",
+        "3/2,-1/2",
+        "1/2,1/4",
+        "1/2,1/0",
+        "1_0/20,1/2",
+        "\u0661/2,1/2",
+    ],
 )
 def test_game_rejects_a_bad_prior(capsys, prior):
     code, out, err = run(capsys, "game", "--prior", prior, "bit1")
@@ -476,7 +500,7 @@ def test_ace_refuses_a_wide_resource_at_once(monkeypatch, capsys):
     assert time.perf_counter() - start < 2
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == "error: bit-to-bit operation on a 1->1000000 resource\n"
 
 
 def test_game_of_a_wide_point_finishes_at_once(monkeypatch, capsys):
