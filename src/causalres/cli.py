@@ -13,19 +13,20 @@ Resource file format, one JSON object per line:
 
 A header line opens a resource; the following entry lines list its support.
 Each line has exactly the keys of a header or of an entry.
-Probabilities must be strings (exactness does not survive JSON numbers):
-an integer, a/b or a decimal in ASCII digits after an optional sign, with
-no exponent, underscore or surrounding space.
+Probabilities must be strings (exactness does not survive JSON numbers)
+in the grammar of `core.exact`: an integer, a/b or a decimal in ASCII
+digits after an optional sign, with no exponent, underscore or surrounding
+space. `--prior` weights follow the same grammar. A `--budget` that is not
+a nonnegative integer exits 2 on the subcommands that check it (convert,
+closure, hasse), like any other usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +41,7 @@ from .channel_game import (
     min_beta_over_preimage,
     posterior_causal_connection,
 )
-from .core import FiniteFunction, FunctionDistribution, alphabet_size, to_stochastic
+from .core import FiniteFunction, FunctionDistribution, alphabet_size, exact, to_stochastic
 from .errors import (
     DuplicateName,
     MalformedWeight,
@@ -63,19 +64,6 @@ Resources = list[tuple[str, FunctionDistribution]]
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
-
-
-def _fraction(text: str) -> Fraction:
-    """An optional sign, then an integer, a/b or a decimal, in ASCII digits.
-
-    Everything else `Fraction` would take is refused first: an exponent,
-    which it expands ("1e-10000000" into a ten-million-digit integer), and
-    the underscores, non-ASCII digits and surrounding whitespace it accepts,
-    some of them only on some Python versions.
-    """
-    if not re.fullmatch(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)", text):
-        raise ValueError(f"not a fraction: {text!r}")
-    return Fraction(text)
 
 
 def parse_resource_file(text: str) -> Resources:
@@ -123,7 +111,7 @@ def parse_resource_file(text: str) -> Resources:
             if not isinstance(prob, str):
                 raise MalformedWeight(f"{where}: prob must be a fraction string")
             try:
-                weight = _fraction(prob)
+                weight = exact(prob)
             except (ValueError, ZeroDivisionError):
                 raise MalformedWeight(f"{where}: cannot parse fraction {prob!r}") from None
             if weight < 0:
@@ -262,7 +250,7 @@ def _parse_prior(text: str) -> Optional[Prior]:
     if text == "uniform":
         return None
     try:
-        weights = tuple(_fraction(p.strip()) for p in text.split(","))
+        weights = tuple(exact(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse prior {text!r}") from None
     return Prior(weights=weights)

@@ -10,6 +10,7 @@ because a verdict that sits on a polytope facet cannot survive rounding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,11 +28,23 @@ WeightLike = Union[Rational, int, str]
 
 
 def exact(value: WeightLike) -> Rational:
-    """Coerce to Fraction, refusing floats (they already lost exactness)."""
+    """Coerce to Fraction, refusing floats (they already lost exactness).
+
+    A string is an optional sign, then an integer, a/b or a decimal, in
+    ASCII digits. Everything else `Fraction` would take is refused first:
+    an exponent, which it expands ("1e-10000000" into a ten-million-digit
+    integer), and the underscores, non-ASCII digits and surrounding
+    whitespace it accepts, some of them only on some Python versions.
+    """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float weight {value!r}")
+    # `fractions` imports `re` already, and `re` caches the compiled pattern.
+    if isinstance(value, str) and not re.fullmatch(
+        r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)", value
+    ):
+        raise ValueError(f"not a fraction: {value!r}")
     return Fraction(value)
 
 

@@ -102,9 +102,15 @@ def is_free_resource(P: FunctionDistribution) -> bool:
 def _check_comb_budget(
     src_domain: int, src_codomain: int, tgt_domain: int, tgt_codomain: int, budget: int
 ) -> None:
-    """Refuse a conversion signature whose comb count exceeds the budget."""
+    """Refuse a conversion signature whose comb count exceeds the budget.
+
+    The four sizes must be positive integers and the budget a nonnegative
+    integer, neither of them a bool.
+    """
     for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
         alphabet_size(size, "alphabet size")
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ValueError("budget must be a nonnegative integer")
     # Alphabet sizes come from headers, so the count is bounded before it is
     # formed. A base x >= 2 gives x**e more than e * (x.bit_length() - 1)
     # bits and at most twice that. A count past both the budget's bit length
@@ -164,8 +170,9 @@ def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistributi
     wrong sizes for all of them. Every pair's table is then composed by
     indexing, post[f[pre[x]]], with an integer numerator over one
     denominator, the lcm of m's denominators times the lcm of P's;
-    numerators of one table add up as integers, and the distribution built
-    from the sums checks their exact total.
+    numerators of one table add up as integers. `_image`, the one decoder
+    of integer-coded tables, builds the distribution of the sums, which
+    checks their exact total.
     """
     first = m.items()[0][0]
     compose_functions(first.post, compose_functions(P.functions()[0], first.pre))
@@ -179,10 +186,7 @@ def apply_mixture(m: CombMixture, P: FunctionDistribution) -> FunctionDistributi
         for table, k in tables:
             out = tuple([post[table[x]] for x in pre])
             acc[out] = acc.get(out, 0) + n * k
-    d, c, den = first.pre.domain_size, first.post.codomain_size, m_den * p_den
-    return FunctionDistribution(
-        d, c, ((FiniteFunction(d, c, t), Rational(k, den)) for t, k in acc.items())
-    )
+    return _image(first.pre.domain_size, first.post.codomain_size, m_den * p_den, acc.items())
 
 
 def _getter(positions: tuple[int, ...]) -> itemgetter:
@@ -267,7 +271,8 @@ def _distinct_images(
     return den, images()
 
 
-def _image(domain: int, codomain: int, den: int, key: tuple) -> FunctionDistribution:
+def _image(domain: int, codomain: int, den: int, key: Iterable[tuple]) -> FunctionDistribution:
+    """The distribution of integer-coded (output table, numerator) pairs over den."""
     return FunctionDistribution(
         domain,
         codomain,
@@ -414,33 +419,30 @@ def hasse(
 ) -> HasseGraph:
     """Order the labeled resources and reduce to the cover relation.
 
-    Mutually convertible resources are merged into one class. Each label
-    joins the class of the first label equivalent to it, itself included, so
-    every label, a lone one too, is compared with itself. Equivalence is
-    transitive, so that first label is also the first of its class, and it
-    stands for the class in the cover test, which only needs to exclude
-    two-step chains.
+    The comb budget of the one signature is checked once, before any
+    question. Labels with equal distributions share one node, and verdicts
+    are kept per node. Mutually convertible nodes are merged into one
+    class: each node joins the class of the first earlier node equivalent
+    to it, or starts its own, so no resource is ever asked about itself.
+    Equivalence is transitive, so that first node is also the first of its
+    class, and it stands for the class in the cover test, which only needs
+    to exclude two-step chains.
 
-    Verdicts are kept per distinct distribution, so equal resources under
-    two labels share them, and a pair is settled from verdicts already held
-    before `know_convertible` is asked: a -> m and m -> b give a -> b, while
-    m -> a without m -> b, or b -> m without a -> m, rule a -> b out. Every
-    resource reaches itself, but the first question, the first resource to
-    itself, is always asked, so the comb budget of the one signature is
-    checked as before.
+    A pair is settled from verdicts already held before `know_convertible`
+    is asked: a -> m and m -> b give a -> b, while m -> a without m -> b, or
+    b -> m without a -> m, rule a -> b out.
     """
-    labels = [label for label, _ in resources]
     sizes = {(d.domain_size, d.codomain_size) for _, d in resources}
     if len(sizes) > 1:
         raise SizeMismatch(f"resources span several signatures: {sorted(sizes)}")
+    for d, c in sizes:
+        _check_comb_budget(d, c, d, c, budget)
     ids: dict[FunctionDistribution, int] = {}
     nodes = [ids.setdefault(dist, len(ids)) for _, dist in resources]
     distinct = list(ids)
     known: list[list[Optional[bool]]] = [[None] * len(distinct) for _ in distinct]
 
     def settled(a: int, b: int) -> bool:
-        if a == b and known[0][0]:
-            return True
         for am, mb, ma, bm in zip(
             known[a], (row[b] for row in known), (row[a] for row in known), known[b]
         ):
@@ -455,13 +457,13 @@ def hasse(
             known[a][b] = settled(a, b)
         return known[a][b]
 
-    def equivalent(i: int, j: int) -> bool:
-        return reaches(nodes[i], nodes[j]) and reaches(nodes[j], nodes[i])
-
-    first = [next(j for j in range(i + 1) if equivalent(i, j)) for i in range(len(nodes))]
+    first = [
+        next((b for b in range(a) if reaches(a, b) and reaches(b, a)), a)
+        for a in range(len(distinct))
+    ]
     reps = sorted(set(first))
     k = len(reps)
-    dominates = [[a != b and reaches(nodes[a], nodes[b]) for b in reps] for a in reps]
+    dominates = [[a != b and reaches(a, b) for b in reps] for a in reps]
     edges = tuple(
         (a, b)
         for a in range(k)
@@ -470,6 +472,7 @@ def hasse(
         and not any(dominates[a][c] and dominates[c][b] for c in range(k))
     )
     classes = tuple(
-        tuple(label for label, r in zip(labels, first) if r == rep) for rep in reps
+        tuple(label for (label, _), node in zip(resources, nodes) if first[node] == rep)
+        for rep in reps
     )
     return HasseGraph(classes=classes, edges=edges)

@@ -1,4 +1,5 @@
-"""Shared generators: hypothesis strategies plus seeded-random samplers.
+"""Shared generators and helpers: hypothesis strategies, seeded-random
+samplers, and the bit-resource builder and support views the suites share.
 
 The counted suites (fixed numbers of random trials) use `random.Random` with
 explicit seeds so failures replay exactly; the algebraic invariants use
@@ -13,7 +14,32 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from causalres import CombMixture, ExtremalComb, FiniteFunction, FunctionDistribution
+from causalres import (
+    FLIP,
+    IDENT,
+    RESET0,
+    RESET1,
+    CombMixture,
+    ExtremalComb,
+    FiniteFunction,
+    FunctionDistribution,
+)
+
+
+def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
+    """The bit resource with weights w_I, w_F, w_R0, w_R1 on the four bit maps."""
+    support = {IDENT: w_i, FLIP: w_f, RESET0: w_r0, RESET1: w_r1}
+    return FunctionDistribution(2, 2, {f: Fraction(w) for f, w in support.items()})
+
+
+def as_dict(P: FunctionDistribution) -> dict:
+    """P's support keyed by output table."""
+    return {f.outputs: w for f, w in P.items()}
+
+
+def support_key(P: FunctionDistribution) -> list:
+    """P's (output table, weight) pairs in item order."""
+    return [(f.outputs, w) for f, w in P.items()]
 
 
 def functions(domain_size: int, codomain_size: int) -> st.SearchStrategy[FiniteFunction]:

@@ -42,24 +42,17 @@ from causalres import (
 )
 from oracles import witness_search
 from strategies import (
+    bits,
     random_bit_distribution,
     random_comb_mixture,
     random_distribution,
     simplex_weights,
+    support_key,
 )
 
 F = Fraction
 
 SIX_NAMED = ["bit1", "bit2", "bit3", "bit4", "bit5", "bit6"]
-
-
-def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
-    support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
-    return FunctionDistribution(2, 2, support)
-
-
-def support_key(P: FunctionDistribution):
-    return [(f.outputs, w) for f, w in P.items()]
 
 
 def test_criterion_01_monotone_tables_match_exactly():

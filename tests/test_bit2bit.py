@@ -31,22 +31,9 @@ from causalres import (
     table1_vertices,
     tetra_coords,
 )
-from strategies import bit_distributions
+from strategies import as_dict, bit_distributions, bits, support_key
 
 F = Fraction
-
-
-def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
-    support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
-    return FunctionDistribution(2, 2, support)
-
-
-def as_dict(P: FunctionDistribution) -> dict:
-    return {f.outputs: w for f, w in P.items()}
-
-
-def support_key(P: FunctionDistribution):
-    return [(f.outputs, w) for f, w in P.items()]
 
 
 def negate(value):

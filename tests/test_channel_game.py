@@ -34,7 +34,9 @@ from causalres import (
     to_stochastic,
 )
 from strategies import (
+    as_dict,
     bit_distributions,
+    bits,
     distributions,
     random_bit_distribution,
     random_comb_mixture,
@@ -44,15 +46,6 @@ F = Fraction
 
 RANDOMIZING = StochasticMap(2, 2, ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
 EYE = StochasticMap(2, 2, ((F(1), F(0)), (F(0), F(1))))
-
-
-def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
-    support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
-    return FunctionDistribution(2, 2, support)
-
-
-def as_dict(P: FunctionDistribution) -> dict:
-    return {f.outputs: w for f, w in P.items()}
 
 
 def test_prior_validation():

@@ -546,6 +546,13 @@ def test_hasse_checks_the_budget_on_a_single_resource(capsys):
     assert err == "error: 16 extremal combs exceed the budget of 3\n"
 
 
+def test_a_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--budget", "-1", "convert", "bit1", "bit2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be a nonnegative integer\n"
+
+
 def test_budget_flag_after_the_subcommand(capsys):
     code, _, _ = run(capsys, "convert", "bit1", "bit2", "--budget", "3")
     assert code == 3

@@ -24,7 +24,7 @@ from causalres import (
     image_size,
     to_stochastic,
 )
-from strategies import distributions, function_chains, functions, sized_functions
+from strategies import bits, distributions, function_chains, functions, sized_functions
 
 F = Fraction
 
@@ -33,11 +33,6 @@ TRIT_F2 = FiniteFunction(3, 3, (0, 0, 2))
 TRIT_F3 = FiniteFunction(3, 3, (0, 2, 2))
 
 RANDOMIZING = StochasticMap(2, 2, ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
-
-
-def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
-    support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
-    return FunctionDistribution(2, 2, support)
 
 
 # construction and validation

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from causalres import (
     StochasticMap,
     enumerate_extremal_combs,
 )
-from causalres.core import probability_vector
+from causalres.core import exact, probability_vector
 
 F = Fraction
 
@@ -79,6 +81,43 @@ def test_distributions_refuse_a_negative_weight_that_a_repeat_cancels(make, outc
     first, second = outcomes
     with pytest.raises(ValueError, match="negative weight -1/4"):
         make([(first, F(3, 4)), (first, F(-1, 4)), (second, F(1, 2))])
+
+
+# the weight grammar: every string weight goes through `core.exact`
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0/20", " 1/2", "1/2 ", "\u0663/4", "1e-3"],
+    ids=["underscore", "leading space", "trailing space", "arabic-indic digit", "exponent"],
+)
+def test_exact_refuses_strings_outside_the_grammar(text):
+    # `Fraction` takes each of these on some Python version.
+    with pytest.raises(ValueError, match=f"^{re.escape(f'not a fraction: {text!r}')}$"):
+        exact(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("1/3", F(1, 3)), ("-2", F(-2)), (".5", F(1, 2)), ("1.", F(1))]
+)
+def test_exact_takes_integers_fractions_and_decimals(text, value):
+    assert exact(text) == value
+
+
+@pytest.mark.parametrize(
+    "make, outcome",
+    [
+        (lambda pairs: FunctionDistribution(1, 1, pairs), FiniteFunction(1, 1, (0,))),
+        (CombMixture, BIT_COMB),
+    ],
+    ids=["FunctionDistribution", "CombMixture"],
+)
+def test_a_library_weight_with_an_exponent_is_refused_at_once(make, outcome):
+    # Fraction("1e-8000000") builds an eight-million-digit integer first.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a fraction: '1e-8000000'"):
+        make({outcome: "1e-8000000"})
+    assert time.perf_counter() - start < 1
 
 
 # immutability and equality across the two distribution types

@@ -49,26 +49,26 @@ from causalres.rtknowcaus import (
     _image,
 )
 from strategies import (
+    as_dict,
     bit_distributions,
+    bits,
     distributions,
     random_bit_distribution,
     random_function,
+    support_key,
 )
 
 F = Fraction
 
 
-def bits(w_i, w_f, w_r0, w_r1) -> FunctionDistribution:
-    support = {IDENT: F(w_i), FLIP: F(w_f), RESET0: F(w_r0), RESET1: F(w_r1)}
-    return FunctionDistribution(2, 2, support)
+def asking(asked: list):
+    """`know_convertible`, recording each (P, Q) it is asked in `asked`."""
 
+    def counted(P, Q, budget=DEFAULT_COMB_BUDGET):
+        asked.append((P, Q))
+        return know_convertible(P, Q, budget=budget)
 
-def support_key(P: FunctionDistribution):
-    return [(f.outputs, w) for f, w in P.items()]
-
-
-def as_dict(P: FunctionDistribution) -> dict:
-    return {f.outputs: w for f, w in P.items()}
+    return counted
 
 
 COIN = bits(F(1, 2), F(1, 2), 0, 0)
@@ -118,9 +118,33 @@ def test_hasse_checks_the_budget_on_equal_resources():
         hasse([("a", P), ("b", P)], budget=3)
 
 
-def test_hasse_checks_the_budget_on_a_single_resource():
-    with pytest.raises(ResourceBudgetExceeded, match="16 extremal combs exceed the budget of 3"):
+def test_hasse_checks_the_budget_on_a_single_resource(monkeypatch):
+    # The budget is checked before any question, not by asking one.
+    asked = []
+    monkeypatch.setattr(rtknowcaus, "know_convertible", asking(asked))
+    with pytest.raises(ResourceBudgetExceeded, match="^16 extremal combs exceed the budget of 3$"):
         hasse([("a", BUILTIN["bit4"])], budget=3)
+    assert asked == []
+
+
+@pytest.mark.parametrize("budget", [2.5, None, "100", True, False, -1], ids=repr)
+def test_the_budget_must_be_a_nonnegative_integer(budget):
+    P = BUILTIN["bit1"]
+    message = "^budget must be a nonnegative integer$"
+    with pytest.raises(ValueError, match=message):
+        know_convertible(P, P, budget=budget)
+    with pytest.raises(ValueError, match=message):
+        downward_closure_vertices(P, budget=budget)
+    with pytest.raises(ValueError, match=message):
+        enumerate_extremal_combs(2, 2, 2, 2, budget=budget)
+    with pytest.raises(ValueError, match=message):
+        hasse([("a", P)], budget=budget)
+
+
+def test_a_budget_of_zero_is_a_budget():
+    # Refused for the count it leaves room for, not for its type.
+    with pytest.raises(ResourceBudgetExceeded, match="^1 extremal combs exceed the budget of 0$"):
+        _check_comb_budget(1, 1, 1, 1, 0)
 
 
 def test_a_count_too_long_to_print_is_named_by_its_signature():
@@ -207,6 +231,13 @@ def test_worked_mixture_reaches_bit8():
         }
     )
     assert apply_mixture(mixture, BUILTIN["bit7"]) == BUILTIN["bit8"]
+
+
+def test_mixture_repr_lists_its_combs_in_order():
+    mixture = CombMixture(
+        {ExtremalComb(FLIP, IDENT): F(1, 3), ExtremalComb(IDENT, RESET1): F(2, 3)}
+    )
+    assert repr(mixture) == "CombMixture({((0, 1), (1, 1)): 2/3, ((1, 0), (0, 1)): 1/3})"
 
 
 # Mixtures of combs add up integer numerators, and composition and the
@@ -566,22 +597,23 @@ def labeled_resource_lists(draw):
 @settings(max_examples=60, deadline=None)
 @given(labeled_resource_lists())
 def test_hasse_matches_the_full_verdict_matrix(resources):
-    assert hasse(resources) == full_matrix_hasse(resources)
+    asked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rtknowcaus, "know_convertible", asking(asked))
+        graph = hasse(resources)
+    assert graph == full_matrix_hasse(resources)
+    assert all(P != Q for P, Q in asked)
 
 
 def test_hasse_settles_bit_pairs_by_transitivity(monkeypatch):
     resources = [(n, P) for n, P in BUILTIN.items() if P.domain_size == 2]
     assert len(resources) == 16
     asked = []
-
-    def counted(P, Q, budget=DEFAULT_COMB_BUDGET):
-        asked.append((P, Q))
-        return know_convertible(P, Q, budget=budget)
-
-    monkeypatch.setattr(rtknowcaus, "know_convertible", counted)
+    monkeypatch.setattr(rtknowcaus, "know_convertible", asking(asked))
     assert hasse(resources) == full_matrix_hasse(resources)
-    assert len(asked) < 196
+    assert len(asked) <= 132
     assert len(set(asked)) == len(asked)
+    assert all(P != Q for P, Q in asked)
 
 
 def test_conversion_is_transitive_on_samples():
