@@ -17,8 +17,8 @@ Probabilities must be strings (exactness does not survive JSON numbers)
 in the grammar of `core.exact`: an integer, a/b or a decimal in ASCII
 digits after an optional sign, with no exponent, underscore or surrounding
 space. `--prior` weights follow the same grammar. A `--budget` that is not
-a nonnegative integer exits 2 on the subcommands that check it (convert,
-closure, hasse), like any other usage error.
+a nonnegative integer exits 2 on every subcommand, like any other usage
+error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -51,9 +52,13 @@ from .errors import (
     ZeroMarginal,
 )
 from .library import BUILTIN
+# `downward_closure_vertices` is not called here, but perfbench/spans.py
+# wraps it by this name (tests/test_perfbench_contract.py).
 from .rtknowcaus import (
     DEFAULT_COMB_BUDGET,
     CombMixture,
+    _check_budget,
+    _vertex_keys,
     downward_closure_vertices,
     hasse,
     know_convertible,
@@ -205,15 +210,33 @@ def _cmd_convert(args: argparse.Namespace, resources: Resources) -> None:
 
 
 def _cmd_closure(args: argparse.Namespace, resources: Resources) -> None:
+    """One report per resource, streamed from the vertex keys.
+
+    The bytes are those of `_emit` with each vertex as `_support_json`
+    gives it, but no vertex is built as an object and no report is held
+    whole: the report's JSON up to its empty vertex list is written first,
+    then each vertex. Each distinct table's `{"map": ..., "prob": "`
+    fragment and each distinct numerator's reduced fraction are formatted
+    once per report.
+    """
+    write = sys.stdout.write
     for name, dist in resources:
-        vertices = downward_closure_vertices(dist, budget=args.budget)
-        _emit(
-            {
-                "name": name,
-                "vertex_count": len(vertices),
-                "vertices": [_support_json(v) for v in vertices],
-            }
-        )
+        den, keys = _vertex_keys(dist, args.budget)
+        head = json.dumps({"name": name, "vertex_count": len(keys), "vertices": []}, sort_keys=True)
+        maps: dict[tuple, str] = {}
+        probs: dict[int, str] = {}
+
+        def entry(t: tuple, n: int) -> str:
+            if t not in maps:
+                maps[t] = f'{{"map": {json.dumps(list(t))}, "prob": "'
+            if n not in probs:
+                probs[n] = f'{Fraction(n, den)}"}}'
+            return maps[t] + probs[n]
+
+        write(head[: -len("]}")])
+        for i, key in enumerate(keys):
+            write(f"{', ' if i else ''}[{', '.join([entry(t, n) for t, n in key])}]")
+        write("]}\n")
 
 
 def _dot(graph) -> str:
@@ -355,7 +378,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Every resource is resolved before a handler parses anything of its
         # own (such as --prior), so a bad resource is the error reported first.
-        args.run(args, _resolve(args.resources))
+        resources = _resolve(args.resources)
+        _check_budget(args.budget)
+        args.run(args, resources)
     except ResourceBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -11,7 +11,7 @@ over labeled resources all run on the exact LP in `exactlp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -99,18 +99,23 @@ def is_free_resource(P: FunctionDistribution) -> bool:
     return all(is_free_function(f) for f in P.functions())
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a budget that is not a nonnegative integer (a bool included)."""
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise ValueError("budget must be a nonnegative integer")
+
+
 def _check_comb_budget(
     src_domain: int, src_codomain: int, tgt_domain: int, tgt_codomain: int, budget: int
 ) -> None:
     """Refuse a conversion signature whose comb count exceeds the budget.
 
-    The four sizes must be positive integers and the budget a nonnegative
-    integer, neither of them a bool.
+    The four sizes must be positive integers and the budget passes
+    `_check_budget`.
     """
     for size in (src_domain, src_codomain, tgt_domain, tgt_codomain):
         alphabet_size(size, "alphabet size")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ValueError("budget must be a nonnegative integer")
+    _check_budget(budget)
     # Alphabet sizes come from headers, so the count is bounded before it is
     # formed. A base x >= 2 gives x**e more than e * (x.bit_length() - 1)
     # bits and at most twice that. A count past both the budget's bit length
@@ -210,17 +215,21 @@ def _distinct_images(
     become integer numerators over den, their least common denominator, and
     an image's key is its sorted (output table, numerator) pairs. Tables of
     one signature sort like the natural order of their functions, so keys
-    compare and sort like `FunctionDistribution.items()`. Each pre is
-    composed with the support tables through one getter, and a pre that
-    yields the same composed tables, in support order, as an earlier one can
-    only repeat its images, so it is skipped. Only posts that keep every
+    compare and sort like `FunctionDistribution.items()`. Two input letters
+    on which every support table agrees are one class, and pres that differ
+    only within classes give the same composed tables and so the same
+    images; only pres into the smallest letter of each class are walked.
+    In lexicographic order each is the first pre of its class, so keys and
+    first combs come out as in a walk of every pre. Each pre is composed
+    with the support tables through one getter. Only posts that keep every
     composed table inside the axis are built: each source letter takes only
     the values the axis allows at every position where a composed table
     reads it, and a letter no table reads stays at 0, which changes no image
     and is where the first post of each image has it. A letter's reading
     positions are a bit mask, and the values allowed for each mask are
     worked out once per walk. Each composed table gets one getter, which
-    composes it with every post of its pre. Returns den and an iterator of
+    composes it with every post of its pre. The tables of each new key are
+    interned, so the kept keys share them. Returns den and an iterator of
     (key, pre table, post table) for the first comb of each new key, in comb
     order; the budget is checked before this returns. `_image` builds the
     distribution of a key.
@@ -242,14 +251,15 @@ def _distinct_images(
             allowed[mask] = tuple(sorted(frozenset.intersection(*read)))
         return allowed[mask]
 
+    letters: dict[tuple[int, ...], int] = {}
+    for x, column in enumerate(zip(*tables)):
+        letters.setdefault(column, x)
+
     def images() -> Iterator[tuple]:
         seen: set[tuple] = set()
-        seen_mids: set[tuple] = set()
-        for pre in product(range(P.domain_size), repeat=tgt_domain):
+        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for pre in product(letters.values(), repeat=tgt_domain):
             mids = tuple(map(_getter(pre), tables))
-            if mids in seen_mids:
-                continue
-            seen_mids.add(mids)
             masks = [0] * P.codomain_size
             for mid in mids:
                 for bit, m in zip(bits, mid):
@@ -265,6 +275,7 @@ def _distinct_images(
                 else:
                     key = tuple(sorted(acc.items()))
                     if key not in seen:
+                        key = tuple([(interned.setdefault(t, t), n) for t, n in key])
                         seen.add(key)
                         yield key, pre, post
 
@@ -367,50 +378,77 @@ def know_convertible(
     return ConversionVerdict(True, certificate)
 
 
+def _vertex_keys(P: FunctionDistribution, budget: int) -> tuple[int, list[tuple]]:
+    """The closure vertices of P as image keys over den, in image order.
+
+    Candidate points are the distinct images of P under the extremal combs
+    of P's own signature; a candidate c is a vertex exactly when it is not a
+    convex combination of the remaining candidates, which is safe to test
+    pointwise because interior candidates only ever lean on vertices, never
+    on each other. A mixture equal to c uses only points supported inside
+    supp(c), so c lies in the hull of the other candidates exactly when it
+    lies in the hull of those among them supported inside supp(c), and that
+    smaller hull is the one tested. Its points come from an index of the
+    candidates by support set: when supp(c) has fewer nonempty subsets than
+    the index has support sets, each subset, supp(c) included, is looked
+    up; otherwise every support set is scanned. Both routes sort the points
+    into candidate order. Relabelling the inputs and outputs by bijections
+    g = (pi, sigma) is a comb, so it permutes the candidates, and being a
+    vertex is constant on each orbit: one LP decides the first candidate of
+    an orbit, and its verdict is written for every g . c through an index
+    from key to position. The image set is closed under relabelling, so a
+    g . c with no position means the kernel missed an image, and the
+    closure stops with an AssertionError. Returns den, the common
+    denominator of the keys' numerators, and the vertex keys.
+    """
+    d, c = P.domain_size, P.codomain_size
+    den, images = _distinct_images(P, d, c, budget)
+    keys = [key for key, _, _ in images]
+    position = {key: i for i, key in enumerate(keys)}
+    by_support: dict[frozenset, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_support.setdefault(frozenset(t for t, _ in key), []).append(i)
+    relabellings = [
+        (_getter(pi), sigma.__getitem__)
+        for pi in permutations(range(d))
+        for sigma in permutations(range(c))
+    ]
+    vertex: list[Optional[bool]] = [None] * len(keys)
+    for i, key in enumerate(keys):
+        if vertex[i] is not None:
+            continue
+        support = [t for t, _ in key]
+        if 2 ** len(support) - 1 < len(by_support):
+            found = (
+                by_support.get(frozenset(subset), ())
+                for r in range(1, len(support) + 1)
+                for subset in combinations(support, r)
+            )
+        else:
+            whole = frozenset(support)
+            found = (js for s, js in by_support.items() if s <= whole)
+        inside = sorted(j for js in found for j in js if j != i)
+        verdict = _hull_weights(key, (keys[j] for j in inside)) is None
+        for get, relabel in relabellings:
+            moved = tuple(sorted((tuple(map(relabel, get(t))), n) for t, n in key))
+            j = position.get(moved)
+            if j is None:
+                raise AssertionError("relabelling left the image set")
+            vertex[j] = verdict
+    return den, [key for key, v in zip(keys, vertex) if v]
+
+
 def downward_closure_vertices(
     P: FunctionDistribution, budget: int = DEFAULT_COMB_BUDGET
 ) -> list[FunctionDistribution]:
     """Vertices of the polytope of resources reachable from P.
 
-    The closure keeps the signature of P. Candidate points are the distinct
-    images of P under the extremal combs; a candidate c is a vertex exactly
-    when it is not a convex combination of the remaining candidates, which
-    is safe to test pointwise because interior candidates only ever lean on
-    vertices, never on each other. A mixture equal to c uses only points
-    supported inside supp(c), so c lies in the hull of the other candidates
-    exactly when it lies in the hull of those among them supported inside
-    supp(c), and that smaller hull is the one tested; its points are
-    gathered from an index of the candidates by support set, in candidate
-    order. Relabelling the inputs and outputs by bijections g = (pi, sigma)
-    is a comb, so it permutes the candidates, and being a vertex is constant
-    on each orbit: one LP decides the first candidate of an orbit, and its
-    verdict is written for every g . c in one map from key to verdict.
-    Candidates stay integer-coded keys, and only the vertices are built as
-    objects.
+    The closure keeps the signature of P. `_vertex_keys` decides the
+    vertices on integer-coded image keys; only the vertices are built as
+    objects, in image order.
     """
-    d, c = P.domain_size, P.codomain_size
-    den, images = _distinct_images(P, d, c, budget)
-    keys = [key for key, _, _ in images]
-    by_support: dict[frozenset, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_support.setdefault(frozenset(t for t, _ in key), []).append(i)
-    relabellings = list(product(permutations(range(d)), permutations(range(c))))
-    vertex: dict[tuple, bool] = {}
-    for i, key in enumerate(keys):
-        if key in vertex:
-            continue
-        support = frozenset(t for t, _ in key)
-        inside = sorted(j for s, js in by_support.items() if s <= support for j in js if j != i)
-        verdict = _hull_weights(key, (keys[j] for j in inside)) is None
-        for pi, sigma in relabellings:
-            moved = tuple(sorted((tuple(sigma[t[x]] for x in pi), n) for t, n in key))
-            vertex[moved] = verdict
-    # The image set is closed under relabelling, so the verdicts cover
-    # exactly the keys; a g . key outside them would mean the kernel missed
-    # an image.
-    if len(vertex) != len(keys):
-        raise AssertionError("relabelling left the image set")
-    return [_image(d, c, den, key) for key in keys if vertex[key]]
+    den, keys = _vertex_keys(P, budget)
+    return [_image(P.domain_size, P.codomain_size, den, key) for key in keys]
 
 
 def hasse(
@@ -435,6 +473,7 @@ def hasse(
     sizes = {(d.domain_size, d.codomain_size) for _, d in resources}
     if len(sizes) > 1:
         raise SizeMismatch(f"resources span several signatures: {sorted(sizes)}")
+    _check_budget(budget)
     for d, c in sizes:
         _check_comb_budget(d, c, d, c, budget)
     ids: dict[FunctionDistribution, int] = {}

@@ -5,19 +5,31 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causalres import (
     BUILTIN,
     DuplicateName,
+    FiniteFunction,
+    FunctionDistribution,
     MalformedWeight,
     NonNormalized,
     TableOutOfRange,
+    downward_closure_vertices,
 )
 from causalres.cli import main, parse_resource_file, serialize_resources
+from strategies import distributions
 
 F = Fraction
 
@@ -319,6 +331,98 @@ def test_four_letter_closure_finishes_within_five_seconds(monkeypatch, capsys):
     )
 
 
+def old_closure_report(name: str, P: FunctionDistribution) -> str:
+    """The closure report as one `json.dumps` of the library's vertices."""
+    vertices = downward_closure_vertices(P)
+    report = {
+        "name": name,
+        "vertex_count": len(vertices),
+        "vertices": [[{"map": list(f.outputs), "prob": str(w)} for f, w in v.items()] for v in vertices],
+    }
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_closure_report_is_the_library_vertices_in_json(capsys, name):
+    code, out, _ = run(capsys, "closure", name)
+    assert code == 0
+    assert out == old_closure_report(name, BUILTIN[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.text(min_size=1, max_size=6),
+    st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 1)]).flatmap(
+        lambda dc: distributions(*dc, max_support=3)
+    ),
+)
+@example('q"u\\o\u00e9\u2603', FunctionDistribution.point(FiniteFunction(2, 2, (0, 1))))
+def test_closure_report_of_a_file_resource_is_the_library_vertices_in_json(name, P):
+    text = serialize_resources([(name, P)])
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    out = io.StringIO()
+    try:
+        stdout, sys.stdout = sys.stdout, out
+        try:
+            code = main(["closure", "-"])
+        finally:
+            sys.stdout = stdout
+    finally:
+        sys.stdin = stdin
+    assert code == 0
+    assert out.getvalue() == old_closure_report(name, P)
+
+
+# CI's seeded 5->4 resource `a`: random.Random(5) samples four tables from
+# the 4**5 tables of a 5->4 function. The digest is of the parent commit's
+# stdout, which took 87 s and 1.3 GB of peak RSS (Python 3.11, shared
+# 2-vCPU machine).
+FIVE_LETTER_SOURCE = """\
+{"name": "a", "domain": 5, "codomain": 4}
+{"map": [2, 0, 0, 2, 3], "prob": "1/10"}
+{"map": [2, 3, 1, 3, 2], "prob": "2/10"}
+{"map": [0, 0, 3, 2, 3], "prob": "3/10"}
+{"map": [3, 2, 3, 2, 1], "prob": "4/10"}
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS")
+def test_five_letter_closure_finishes_within_a_minute_in_650_mb():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    with tempfile.TemporaryFile() as stdin, tempfile.TemporaryFile() as stdout:
+        stdin.write(FIVE_LETTER_SOURCE.encode())
+        stdin.seek(0)
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "causalres", "closure", "-"],
+            stdin=stdin,
+            stdout=stdout,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        # wait4 reaps this child alone, so its rusage is not mixed with other
+        # children of the test process; the timer only keeps a hang bounded.
+        guard = threading.Timer(300, child.kill)
+        guard.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            guard.cancel()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        elapsed = time.perf_counter() - start
+        stdout.seek(0)
+        out = stdout.read()
+    assert child.returncode == 0
+    assert json.loads(out)["vertex_count"] == 363424
+    assert hashlib.sha256(out).hexdigest() == (
+        "5b7fe6339438c3f1ff22c07388623e1595783003f8c14f4b95df11e29c5e1c95"
+    )
+    assert elapsed < 60
+    # ru_maxrss is in KiB on Linux.
+    assert usage.ru_maxrss <= 650 * 1024
+
+
 def test_hasse_dot_output(capsys):
     code, out, _ = run(
         capsys, "hasse", "bit1", "bit2", "bit3", "bit4", "bit5", "bit6"
@@ -548,6 +652,25 @@ def test_hasse_checks_the_budget_on_a_single_resource(capsys):
 
 def test_a_negative_budget_is_a_usage_error(capsys):
     code, out, err = run(capsys, "--budget", "-1", "convert", "bit1", "bit2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--budget", "-1", "monotones", "bit1"),
+        ("--budget", "-1", "game", "bit1"),
+        ("--budget", "-1", "ace", "bit1"),
+        ("--budget", "-1", "closure", "bit1"),
+        ("--budget", "-1", "hasse", "bit1"),
+        ("monotones", "bit1", "--budget", "-5"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_subcommand_refuses_a_negative_budget(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "error: budget must be a nonnegative integer\n"

@@ -141,6 +141,12 @@ def test_the_budget_must_be_a_nonnegative_integer(budget):
         hasse([("a", P)], budget=budget)
 
 
+@pytest.mark.parametrize("budget", ["x", -5], ids=repr)
+def test_hasse_of_no_resources_still_checks_the_budget(budget):
+    with pytest.raises(ValueError, match="^budget must be a nonnegative integer$"):
+        hasse([], budget=budget)
+
+
 def test_a_budget_of_zero_is_a_budget():
     # Refused for the count it leaves room for, not for its type.
     with pytest.raises(ResourceBudgetExceeded, match="^1 extremal combs exceed the budget of 0$"):
@@ -390,6 +396,30 @@ def test_certificates_recombine_exactly():
         else:
             assert verdict.certificate is None
     assert hits > 0
+
+
+def test_the_kernel_walks_one_pre_per_class_of_letters(monkeypatch):
+    # Letters 0, 2 and 3 agree on both support tables, so pres into {0, 1, 4}
+    # give every image: 3**2 of the 5**2 pres, each read through one getter
+    # for the pre and one per support table.
+    P = FunctionDistribution(
+        5,
+        2,
+        {FiniteFunction(5, 2, (0, 1, 0, 0, 1)): F(1, 3), FiniteFunction(5, 2, (1, 1, 1, 1, 0)): F(2, 3)},
+    )
+    getter = rtknowcaus._getter
+    calls = []
+    monkeypatch.setattr(rtknowcaus, "_getter", lambda at: calls.append(at) or getter(at))
+    den, images = _distinct_images(P, 2, 2, DEFAULT_COMB_BUDGET)
+    images = list(images)
+    assert len(calls) == 3**2 * (1 + 2)
+    assert [(_image(2, 2, den, key), pre, post) for key, pre, post in images] == [
+        (image, comb.pre.outputs, comb.post.outputs)
+        for image, comb in oracles.comb_by_comb_images(P, 2, 2)
+    ]
+    # The kept keys share one object per table.
+    tables: dict = {}
+    assert all(tables.setdefault(t, t) is t for key, _, _ in images for t, _ in key)
 
 
 def test_closure_of_a_reset_point():
@@ -863,13 +893,28 @@ def test_closure_matches_the_full_axis_reference(dom, cod, data):
 
 
 @pytest.mark.parametrize(
-    "dom,cod,examples", [(2, 2, 20), (2, 3, 10), (3, 2, 10), (3, 3, 5), (1, 3, 10), (3, 1, 1)]
+    "dom,cod,width,examples",
+    [
+        *(
+            pytest.param(dom, cod, 3, examples, id=f"{dom}-{cod}-{examples}")
+            for dom, cod, examples in [
+                (2, 2, 20), (2, 3, 10), (3, 2, 10), (3, 3, 5), (1, 3, 10), (3, 1, 1)
+            ]
+        ),
+        pytest.param(2, 2, 4, 10, id="wide-2-2-10"),
+        pytest.param(3, 2, 8, 5, id="wide-3-2-5"),
+        pytest.param(2, 3, 9, 5, id="wide-2-3-5"),
+    ],
 )
-def test_closure_matches_the_per_candidate_reference(dom, cod, examples):
+def test_closure_matches_the_per_candidate_reference(dom, cod, width, examples):
     # One LP per relabelling orbit against one LP per candidate: the same
-    # vertices, element by element and in order.
+    # vertices, element by element and in order. A candidate's points come
+    # from the subsets of its support when it has fewer of them than there
+    # are support sets, and from a scan of every support set otherwise; the
+    # wide supports (up to every table) take the scan for their widest
+    # candidates, the narrow ones mostly the subsets.
     @settings(max_examples=examples, deadline=None)
-    @given(distributions(dom, cod, max_support=3))
+    @given(distributions(dom, cod, max_support=width))
     def check(P):
         assert downward_closure_vertices(P) == oracles.per_candidate_closure(P)
 
