@@ -49,23 +49,9 @@ def test_wrapped_calls_keep_the_shapes_the_tracer_reads():
     assert isinstance(rtknowcaus.enumerate_extremal_combs(2, 2, 2, 2), list)
 
 
-# The self-check's "unexpected timeout" case gives the first hull3 closure
-# question a 1 ms limit and needs the question cut off by it; that closure
-# can now answer within 1 ms, so a limit that short is armed at 10 us, which
-# no CLI call beats. Every other limit and case runs as the script has it.
-SELFCHECK_WITH_SHORT_LIMIT = """
-import signal, sys
-sys.path.insert(0, "perfbench")
-arm = signal.setitimer
-signal.setitimer = lambda which, s, *a: arm(which, 1e-5 if 0 < s <= 0.001 else s, *a)
-import selfcheck
-sys.exit(selfcheck.main())
-"""
-
-
 def test_perfbench_selfcheck_passes():
     done = subprocess.run(
-        [sys.executable, "-c", SELFCHECK_WITH_SHORT_LIMIT],
+        [sys.executable, "perfbench/selfcheck.py"],
         cwd=PERFBENCH.parent,
         capture_output=True,
         text=True,
