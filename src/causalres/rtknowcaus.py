@@ -389,53 +389,54 @@ def _vertex_keys(P: FunctionDistribution, budget: int) -> tuple[int, list[tuple]
     supp(c), so c lies in the hull of the other candidates exactly when it
     lies in the hull of those among them supported inside supp(c), and that
     smaller hull is the one tested. Its points come from an index of the
-    candidates by support set: when supp(c) has fewer nonempty subsets than
-    the index has support sets, each subset, supp(c) included, is looked
-    up; otherwise every support set is scanned. Both routes sort the points
-    into candidate order. Relabelling the inputs and outputs by bijections
-    g = (pi, sigma) is a comb, so it permutes the candidates, and being a
-    vertex is constant on each orbit: one LP decides the first candidate of
-    an orbit, and its verdict is written for every g . c through an index
-    from key to position. The image set is closed under relabelling, so a
-    g . c with no position means the kernel missed an image, and the
-    closure stops with an AssertionError. Returns den, the common
-    denominator of the keys' numerators, and the vertex keys.
+    candidates' positions by support, the sorted table tuple each key
+    holds: when supp(c) has fewer nonempty subsets than the index has
+    supports, each subset, supp(c) included, is looked up as `combinations`
+    yields it; otherwise every support is scanned. Both routes sort the
+    points into candidate order. Relabelling the inputs and outputs by
+    bijections g = (pi, sigma) is a comb, so it permutes the candidates, and
+    being a vertex is constant on each orbit: one LP decides the first
+    candidate of an orbit, and its verdict is written for every g . c in one
+    map from key to verdict. The group is the direct product of input and
+    output relabellings, so the orbit is walked in two stages: every pi
+    gives the distinct input relabellings of c, and every sigma then
+    relabels the outputs of each. The image set is closed under
+    relabelling, so a g . c that is not a key means the kernel missed an
+    image, and the closure stops with an AssertionError. Returns den, the
+    common denominator of the keys' numerators, and the vertex keys.
     """
     d, c = P.domain_size, P.codomain_size
     den, images = _distinct_images(P, d, c, budget)
-    keys = [key for key, _, _ in images]
-    position = {key: i for i, key in enumerate(keys)}
-    by_support: dict[frozenset, list[int]] = {}
+    vertex: dict[tuple, Optional[bool]] = dict.fromkeys(key for key, _, _ in images)
+    keys = list(vertex)
+    by_support: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
-        by_support.setdefault(frozenset(t for t, _ in key), []).append(i)
-    relabellings = [
-        (_getter(pi), sigma.__getitem__)
-        for pi in permutations(range(d))
-        for sigma in permutations(range(c))
-    ]
-    vertex: list[Optional[bool]] = [None] * len(keys)
+        by_support.setdefault(tuple(t for t, _ in key), []).append(i)
     for i, key in enumerate(keys):
-        if vertex[i] is not None:
+        if vertex[key] is not None:
             continue
-        support = [t for t, _ in key]
+        support = tuple(t for t, _ in key)
         if 2 ** len(support) - 1 < len(by_support):
             found = (
-                by_support.get(frozenset(subset), ())
+                by_support.get(subset, ())
                 for r in range(1, len(support) + 1)
                 for subset in combinations(support, r)
             )
         else:
             whole = frozenset(support)
-            found = (js for s, js in by_support.items() if s <= whole)
+            found = (js for s, js in by_support.items() if whole.issuperset(s))
         inside = sorted(j for js in found for j in js if j != i)
         verdict = _hull_weights(key, (keys[j] for j in inside)) is None
-        for get, relabel in relabellings:
-            moved = tuple(sorted((tuple(map(relabel, get(t))), n) for t, n in key))
-            j = position.get(moved)
-            if j is None:
-                raise AssertionError("relabelling left the image set")
-            vertex[j] = verdict
-    return den, [key for key, v in zip(keys, vertex) if v]
+        for moved in {
+            tuple(sorted((get(t), n) for t, n in key))
+            for get in map(_getter, permutations(range(d)))
+        }:
+            for sigma in permutations(range(c)):
+                image = tuple(sorted((tuple([sigma[y] for y in t]), n) for t, n in moved))
+                if image not in vertex:
+                    raise AssertionError("relabelling left the image set")
+                vertex[image] = verdict
+    return den, [key for key, v in vertex.items() if v]
 
 
 def downward_closure_vertices(

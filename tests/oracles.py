@@ -311,6 +311,26 @@ def full_axis_closure(dist: dict, dom: int, cod: int) -> list[dict]:
     ]
 
 
+def orbit_count(dist: dict, dom: int, cod: int) -> int:
+    """How many orbits relabelling inputs and outputs makes of the distinct images.
+
+    Each image stands for its orbit by the least of its relabellings under
+    every (input permutation, output permutation) pair.
+    """
+    pres = [t for t in all_tables(dom, dom) if len(set(t)) == dom]
+    posts = [t for t in all_tables(cod, cod) if len(set(t)) == cod]
+    return len(
+        {
+            min(
+                tuple(sorted(pushforward(image, pre, post).items()))
+                for pre in pres
+                for post in posts
+            )
+            for image in distinct_images(dist, dom, cod)
+        }
+    )
+
+
 def comb_by_comb_images(P, tgt_domain: int, tgt_codomain: int) -> list:
     """(image, first comb) for each distinct image of P, in comb order."""
     from causalres.rtknowcaus import apply_extremal, enumerate_extremal_combs

@@ -71,6 +71,16 @@ def asking(asked: list):
     return counted
 
 
+def hull_testing(tested: list):
+    """`_hull_weights`, recording each target key it is asked about in `tested`."""
+
+    def counted(target_key, point_keys):
+        tested.append(target_key)
+        return _hull_weights(target_key, point_keys)
+
+    return counted
+
+
 COIN = bits(F(1, 2), F(1, 2), 0, 0)
 RESETS = bits(0, 0, F(1, 2), F(1, 2))
 STUCK = bits(F(1, 2), 0, F(1, 2), 0)
@@ -741,6 +751,43 @@ def test_four_letter_closure_commutes_with_relabelling(dom, cod, support, count,
     assert vertices == oracles.per_candidate_closure(P)
     assert relabelled == oracles.per_candidate_closure(moved)
     assert set(relabelled) == {apply_extremal(relabel, v) for v in vertices}
+
+
+@pytest.mark.parametrize(
+    "dom,cod,support,count",
+    [
+        pytest.param(3, 3, oracles.TRIT_MIX, 14, id="trit_mix"),
+        pytest.param(2, 2, oracles.BITS["bit5"], 3, id="bit5"),
+        pytest.param(2, 3, {(0, 1): F(1, 3), (1, 2): F(1, 3), (2, 2): F(1, 3)}, 7, id="2to3"),
+        *(
+            pytest.param(*case.values[:3], count, id=case.id)
+            for case, count in zip(FOUR_LETTER_CLOSURES, [7, 9])
+        ),
+    ],
+)
+def test_closure_makes_one_hull_test_per_orbit(monkeypatch, dom, cod, support, count):
+    # A walk that misses part of an orbit still returns the right vertices,
+    # since each key it misses is tested as an orbit of its own; only the
+    # count of hull tests shows it.
+    P = FunctionDistribution(
+        dom, cod, {FiniteFunction(dom, cod, t): w for t, w in support.items()}
+    )
+    tested = []
+    monkeypatch.setattr(rtknowcaus, "_hull_weights", hull_testing(tested))
+    downward_closure_vertices(P)
+    assert len(tested) == count == oracles.orbit_count(support, dom, cod)
+
+
+@pytest.mark.parametrize("dom,cod", [(2, 2), (2, 3), (3, 2)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_closure_hull_tests_match_the_orbit_count(dom, cod, data):
+    P = data.draw(distributions(dom, cod, max_support=3))
+    tested = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rtknowcaus, "_hull_weights", hull_testing(tested))
+        downward_closure_vertices(P)
+    assert len(tested) == oracles.orbit_count(as_dict(P), dom, cod)
 
 
 @st.composite
